@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -47,7 +48,28 @@ func sameResult(t *testing.T, label string, warm, cold *Result) {
 	}
 }
 
-// The exact-mode gate of the incremental re-solve feature: across a chain of
+// runCounted runs the named scheduler on en and checks the engine's side of
+// the accounting: every evaluation the run requested was either computed
+// (Evals) or served from the prefix memo (GridHits).
+func runCounted(t *testing.T, label, name string, en *score.Engine, k int) *Result {
+	t.Helper()
+	sched, err := NewWithEngine(name, 9, en)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := en.Stat()
+	res, err := sched.ScheduleCtx(context.Background(), en.Instance(), k)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	after := en.Stat()
+	if got := after.Evals - before.Evals + after.GridHits - before.GridHits; got != res.ScoreEvals {
+		t.Errorf("%s: engine evals+hits moved %d, run reports ScoreEvals %d", label, got, res.ScoreEvals)
+	}
+	return res
+}
+
+// The gate of the incremental re-solve feature: across a chain of
 // mutations, every scheduler run on a warm delta-rebuilt engine must be
 // bit-identical — utility, ScoreEvals, Examined, selection sequence — to the
 // same scheduler on a cold engine of the mutated instance, at every worker
@@ -75,15 +97,9 @@ func TestResolveExactMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range Names() {
-				rw, _, err := Resolve(context.Background(), name, 9, warm, 5, nil, false)
-				if err != nil {
-					t.Fatalf("%s warm: %v", name, err)
-				}
-				rc, _, err := Resolve(context.Background(), name, 9, cold, 5, nil, false)
-				if err != nil {
-					t.Fatalf("%s cold: %v", name, err)
-				}
-				label := name + " w=" + string(rune('0'+workers))
+				label := fmt.Sprintf("%s w=%d step=%d", name, workers, step)
+				rw := runCounted(t, label+" warm", name, warm, 5)
+				rc := runCounted(t, label+" cold", name, cold, 5)
 				sameResult(t, label, rw, rc)
 			}
 			cold.Close()
@@ -92,125 +108,61 @@ func TestResolveExactMatchesCold(t *testing.T) {
 	}
 }
 
-// Verified replay must return the cold schedule and utility whenever it
-// claims a replay, and fall back (still bit-identical, counters included)
-// whenever it cannot prove the old picks. Driven over a mutation chain so
-// both outcomes occur.
-func TestResolveReplayCorrect(t *testing.T) {
-	inst := randomInstance(62, 12, 5, 4, 120, 5)
-	en, err := score.New(inst, core.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevByName := map[string][]core.Assignment{}
-	replayed, fellBack := 0, 0
-	for step := 1; step <= 6; step++ {
-		next := inst.Snapshot()
-		d := resolveMutate(t, next, step)
-		w2, err := score.NewFromPrevious(en, next, core.ScorerOptions{}, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		en.Close()
-		en, inst = w2, next
-		cold, err := score.New(inst, core.ScorerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"ALG", "INC"} {
-			rc, _, err := Resolve(context.Background(), name, 0, cold, 4, nil, false)
+// TestWarmMemoChainMatchesCold drives all six schedulers through a mutation
+// chain on one warm engine lineage, dense and sparse, where the carried
+// prefix memo serves most scores: every run must equal a cold solve
+// (schedule, utility, ScoreEvals, Examined), the engine's evals+hits must
+// account for every requested evaluation, and the carry must actually serve
+// scores — a repeat run on the same engine computes nothing at all.
+func TestWarmMemoChainMatchesCold(t *testing.T) {
+	dense, sparse := sparseDensePair(t, 64, 16, 5, 4, 300, 0.3)
+	for _, tc := range []struct {
+		rep  string
+		inst *core.Instance
+	}{{"dense", dense}, {"sparse", sparse}} {
+		for _, workers := range []int{0, 3} {
+			opts := core.ScorerOptions{Workers: workers}
+			inst := tc.inst
+			warm, err := score.New(inst, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rw, info, err := Resolve(context.Background(), name, 0, en, 4, prevByName[name], true)
-			if err != nil {
-				t.Fatal(err)
+			for _, name := range Names() {
+				runCounted(t, "prime "+name, name, warm, 7)
 			}
-			if info.Replayed {
-				replayed++
-				// A replay proves the same selections and utility; its
-				// counters measure verification work, not the cold run's.
-				if rw.Utility != rc.Utility {
-					t.Errorf("step %d %s: replay utility %v vs cold %v", step, name, rw.Utility, rc.Utility)
+			for step := 1; step <= 4; step++ {
+				next := inst.Snapshot()
+				d := resolveMutate(t, next, step)
+				w2, err := score.NewFromPrevious(warm, next, opts, d)
+				if err != nil {
+					t.Fatal(err)
 				}
-				gw, gc := rw.Schedule.Assignments(), rc.Schedule.Assignments()
-				if len(gw) != len(gc) {
-					t.Fatalf("step %d %s: replay %d selections vs cold %d", step, name, len(gw), len(gc))
+				warm.Close()
+				warm, inst = w2, next
+				cold, err := score.New(inst, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range gw {
-					if gw[j] != gc[j] {
-						t.Errorf("step %d %s: replay selection %d = %+v vs cold %+v", step, name, j, gw[j], gc[j])
-					}
+				hits := warm.Stat().GridHits
+				for _, name := range Names() {
+					label := fmt.Sprintf("%s %s w=%d step=%d", tc.rep, name, workers, step)
+					rw := runCounted(t, label+" warm", name, warm, 7)
+					rc := runCounted(t, label+" cold", name, cold, 7)
+					sameResult(t, label, rw, rc)
 				}
-				if rw.ScoreEvals > rc.ScoreEvals {
-					t.Errorf("step %d %s: replay evaluated more (%d) than cold (%d)", step, name, rw.ScoreEvals, rc.ScoreEvals)
+				if warm.Stat().GridHits == hits {
+					t.Errorf("%s w=%d step=%d: warm engine served no memoized scores", tc.rep, workers, step)
 				}
-			} else {
-				fellBack++
-				sameResult(t, name+" fallback", rw, rc)
+				evals := warm.Stat().Evals
+				for _, name := range Names() {
+					runCounted(t, "repeat "+name, name, warm, 7)
+				}
+				if got := warm.Stat().Evals; got != evals {
+					t.Errorf("%s w=%d step=%d: repeat runs computed %d evaluations, want 0", tc.rep, workers, step, got-evals)
+				}
+				cold.Close()
 			}
-			prevByName[name] = append([]core.Assignment(nil), rc.Schedule.Assignments()...)
+			warm.Close()
 		}
-	}
-	cold2, err := score.New(inst, core.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold2.Close()
-	// An unchanged instance always verifies: every bound in an untouched
-	// interval is exact, so the original argmax picks reproduce themselves.
-	rc, _, err := Resolve(context.Background(), "ALG", 0, cold2, 4, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, info, err := Resolve(context.Background(), "ALG", 0, en, 4, rc.Schedule.Assignments(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Replayed {
-		t.Error("replay of an unchanged instance fell back")
-	}
-	if rr.Utility != rc.Utility {
-		t.Errorf("unchanged replay utility %v vs %v", rr.Utility, rc.Utility)
-	}
-	if replayed == 0 {
-		t.Log("note: no mutation step verified as a replay (all fell back)")
-	}
-	t.Logf("replayed %d, fell back %d across the chain", replayed, fellBack)
-	en.Close()
-}
-
-// Non-greedy schedulers must ignore the replay flag and run exactly.
-func TestResolveReplayFallbackSchedulers(t *testing.T) {
-	inst := randomInstance(63, 10, 4, 3, 80, 4)
-	en, err := score.New(inst, core.ScorerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer en.Close()
-	prev := []core.Assignment{{Event: 0, Interval: 0}}
-	for _, name := range []string{"HOR", "HOR-I", "TOP", "RAND"} {
-		rr, info, err := Resolve(context.Background(), name, 3, en, 4, prev, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Replayed {
-			t.Errorf("%s claimed a verified replay", name)
-		}
-		sched, err := NewWithEngine(name, 3, en)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := sched.Schedule(inst, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, name, rr, rc)
-	}
-	if _, _, err := Resolve(context.Background(), "ALG", 0, en, 0, nil, false); err != ErrBadK {
-		t.Errorf("k=0 returned %v, want ErrBadK", err)
-	}
-	if _, _, err := Resolve(context.Background(), "nope", 0, en, 3, nil, false); err == nil {
-		t.Error("unknown scheduler accepted")
 	}
 }

@@ -20,8 +20,8 @@ import (
 type ScorerDelta struct {
 	// Events lists candidate events whose interest column changed.
 	// The Scorer itself stores no per-event state — interest columns live
-	// in the instance — but the engine's cached empty-schedule grid does,
-	// so the dirty set travels here.
+	// in the instance — but the engine's prefix memo does, so the dirty
+	// set travels here.
 	Events []int
 	// CompIntervals lists intervals whose competing-interest sum changed:
 	// a competing event in the interval had cells edited, or a new

@@ -36,6 +36,10 @@ type Schedule struct {
 	// assignedSum[t][u] is Σ_{p∈E_t(S)} µ(u, p); nil until t receives its
 	// first event, so empty intervals cost no memory.
 	assignedSum [][]float64
+	// undone[t] marks an interval whose assignedSum went through
+	// UnassignLast while staying non-empty: subtraction can leave float
+	// dust, so the sum is no longer the in-order sum of its prefix.
+	undone []bool
 	// order records assignments in selection order, which the INC ≡ ALG
 	// and HOR-I ≡ HOR equivalence tests compare.
 	order []Assignment
@@ -51,6 +55,7 @@ func NewSchedule(inst *Instance) *Schedule {
 		usedResources: make([]float64, nT),
 		locations:     make([]map[int]bool, nT),
 		assignedSum:   make([][]float64, nT),
+		undone:        make([]bool, nT),
 	}
 	for i := range s.assignedTo {
 		s.assignedTo[i] = -1
@@ -78,6 +83,17 @@ func (s *Schedule) AssignedInterval(e int) (int, bool) {
 // EventsAt returns the events assigned to interval t in assignment order.
 // The returned slice aliases schedule state.
 func (s *Schedule) EventsAt(t int) []int { return s.byInterval[t] }
+
+// Prefix returns the events assigned to interval t in assignment order and
+// whether t's per-user interest sum is exactly the in-order sum of their
+// interest columns. Every Eq. 4 score at t is then a pure function of the
+// instance and this prefix, which is what lets the scoring engine memoize
+// scores by prefix. exact is false once UnassignLast has subtracted from t
+// while leaving it non-empty, until t empties again. The returned slice
+// aliases schedule state.
+func (s *Schedule) Prefix(t int) (events []int, exact bool) {
+	return s.byInterval[t], !s.undone[t]
+}
 
 // UsedResources returns Σ ξ_e over the events assigned to interval t.
 func (s *Schedule) UsedResources(t int) float64 { return s.usedResources[t] }
@@ -163,6 +179,9 @@ func (s *Schedule) UnassignLast() error {
 		// Drop the sum entirely so an emptied interval is exactly an
 		// untouched interval (no float dust in later scores).
 		s.assignedSum[t] = nil
+		s.undone[t] = false
+	} else {
+		s.undone[t] = true
 	}
 	return nil
 }

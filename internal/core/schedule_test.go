@@ -131,6 +131,43 @@ func TestAssignedIntervalAndEventsAt(t *testing.T) {
 	}
 }
 
+// TestPrefixExactness: Prefix reports an interval's events in assignment
+// order, exact until an undo subtracts from it while leaving it non-empty,
+// and exact again once the interval empties or the schedule is cloned.
+func TestPrefixExactness(t *testing.T) {
+	inst := RunningExample()
+	s := NewSchedule(inst)
+	mustAssign(t, s, 3, 1)
+	mustAssign(t, s, 1, 1)
+	if p, exact := s.Prefix(1); !exact || len(p) != 2 || p[0] != 3 || p[1] != 1 {
+		t.Fatalf("Prefix(t2) = %v exact=%v, want [3 1] exact", p, exact)
+	}
+	if err := s.UnassignLast(); err != nil {
+		t.Fatal(err)
+	}
+	if p, exact := s.Prefix(1); exact || len(p) != 1 {
+		t.Fatalf("after a non-emptying undo Prefix(t2) = %v exact=%v", p, exact)
+	}
+	if _, exact := s.Clone().Prefix(1); !exact {
+		t.Fatal("a clone replays its assignments, so its prefixes are exact")
+	}
+	mustAssign(t, s, 0, 0)
+	if _, exact := s.Prefix(0); !exact {
+		t.Fatal("an undo in t2 flagged t1")
+	}
+	if _, exact := s.Prefix(1); exact {
+		t.Fatal("assigning elsewhere cleared t2's flag")
+	}
+	for s.Len() > 0 {
+		if err := s.UnassignLast(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, exact := s.Prefix(1); !exact {
+		t.Fatal("an emptied interval stayed flagged")
+	}
+}
+
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	inst := RunningExample()
 	s := NewSchedule(inst)

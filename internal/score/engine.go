@@ -29,6 +29,10 @@
 //   - Cancellation is cooperative: ScoreBatch polls its context between
 //     candidates, so ScheduleCtx's promptness contract (internal/algo)
 //     survives the fan-out.
+//
+//   - Scores are memoized by interval prefix (memo.go), and a warm engine
+//     built by NewFromPrevious inherits the entries a mutation left clean,
+//     so a re-solve after a small edit recomputes almost nothing.
 package score
 
 import (
@@ -76,10 +80,11 @@ const (
 	// the cap only guards against absurd requests.
 	maxWorkers = 256
 
-	// gridMaxCells bounds the empty-schedule grid cache: |E|·|T| beyond it
-	// (32 MB of float64) disables caching rather than ballooning every
-	// engine. Paper-scale grids are ≤ 4.5M cells; sesd instances are far
-	// smaller (the user dimension is the big one, and it is not cached).
+	// gridMaxCells bounds the prefix memo (memo.go): its rows together hold
+	// at most this many cells (32 MB of scores); past it new prefixes are
+	// computed without being stored rather than ballooning every engine.
+	// Paper-scale empty-schedule grids are ≤ 4.5M cells; sesd instances are
+	// far smaller (the user dimension is the big one, and it is not cached).
 	gridMaxCells = 1 << 22
 )
 
@@ -114,20 +119,14 @@ type Engine struct {
 
 	closeOnce sync.Once
 
-	// The empty-schedule grid cache: grid[e·|T|+t] holds the Eq. 4 score of
-	// α_e^t against the EMPTY schedule once gridOK marks it. Every
-	// scheduler's dominant batch is its initial frontier scored against an
-	// empty schedule (ALG/TOP's full grid, INC's init, HOR/HOR-I's first
-	// layer), and that score is a pure function of the instance snapshot
-	// and options — so entries computed by one run serve every later run on
-	// the same engine, and NewFromPrevious carries the clean entries across
-	// a mutation. Cached values are the exact bits scoreShards produced, so
-	// serving them changes no reported number; schedulers account their
-	// requested evaluations themselves, so their ScoreEvals stay identical
-	// whether the engine computed or remembered.
-	gridMu sync.Mutex
-	grid   []float64
-	gridOK []bool
+	// The prefix memo (memo.go): rows keyed by an interval and the ordered
+	// events a schedule assigned to it, each holding exact scoreShards bits
+	// per event. Score and ScoreBatch serve from it on any schedule, later
+	// runs on a shared engine reuse it, and NewFromPrevious carries its
+	// clean rows across a mutation. memoCells is Σ row widths.
+	memoMu    sync.RWMutex
+	memo      map[string]*memoRow
+	memoCells atomic.Int64
 
 	evals    atomic.Int64
 	batches  atomic.Int64
@@ -149,8 +148,8 @@ type Sink struct {
 	Evals   *metrics.Counter
 	Batches *metrics.Counter
 	Fanouts *metrics.Counter
-	// GridHits counts evaluations served from the empty-schedule grid
-	// cache instead of being recomputed (warm re-solve's saved work).
+	// GridHits counts evaluations served from the prefix memo instead of
+	// being recomputed (warm re-solve's and shared engines' saved work).
 	GridHits *metrics.Counter
 	// BatchCandidates observes the candidate-frontier width of each batch
 	// (the per-batch shard fan-out the schedulers request); BatchSeconds
@@ -211,14 +210,13 @@ func newEngine(sc *core.Scorer, inst *core.Instance, workers int) *Engine {
 }
 
 // NewFromPrevious builds an engine for inst warm: the scorer reuses the
-// clean parts of prev's precompute (core.NewScorerFromDelta) and the
-// empty-schedule grid carries over minus the entries the delta dirtied — a
-// dirty event drops its row, a dirty interval (competing OR activity: both
-// change what an empty-schedule score reads) drops its column. The warm
-// engine is bit-identical to New(inst, opts) in every output: shared state
-// is immutable, rebuilt state runs the cold construction, and surviving
-// grid entries are exact because their operands (interest column, activity
-// column, competing sum, cost) are untouched by the mutation.
+// clean parts of prev's precompute (core.NewScorerFromDelta) and the prefix
+// memo carries over the rows prev used, minus what the delta dirtied (see
+// carryMemo). The warm engine is bit-identical to New(inst, opts) in every
+// output: shared state is immutable, rebuilt state runs the cold
+// construction, and surviving memo entries are exact because their operands
+// (the event's and the prefix's interest columns, the interval's activity
+// column and competing sum, the cost) are untouched by the mutation.
 //
 // prev must be the engine of the predecessor snapshot built with the same
 // options values; on any mismatch an error is returned and the caller
@@ -233,44 +231,14 @@ func NewFromPrevious(prev *Engine, inst *core.Instance, opts core.ScorerOptions,
 		return nil, err
 	}
 	en := newEngine(sc, inst, opts.Workers)
-	// The grid carries over only between engines running the SAME kernel
+	// The memo carries over only between engines running the SAME kernel
 	// variant: cached entries are that variant's bits, and an inexact
 	// variant's values (simd) must never be served as another's — nor may
 	// exact variants trade entries with it, even though exact variants
 	// agree bit for bit with each other, because "which kernel computed
 	// this number" is part of the cache's provenance contract.
-	if prev.sc.KernelName() != sc.KernelName() {
-		return en, nil
-	}
-	if n := inst.NumEvents() * inst.NumIntervals(); n > 0 && n <= gridMaxCells {
-		prev.gridMu.Lock()
-		if len(prev.grid) == n {
-			grid := make([]float64, n)
-			ok := make([]bool, n)
-			copy(grid, prev.grid)
-			copy(ok, prev.gridOK)
-			prev.gridMu.Unlock()
-			nT := inst.NumIntervals()
-			for _, e := range d.Events {
-				for t := 0; t < nT; t++ {
-					ok[e*nT+t] = false
-				}
-			}
-			dropInterval := func(t int) {
-				for e := 0; e < inst.NumEvents(); e++ {
-					ok[e*nT+t] = false
-				}
-			}
-			for _, t := range d.CompIntervals {
-				dropInterval(t)
-			}
-			for _, t := range d.ActIntervals {
-				dropInterval(t)
-			}
-			en.grid, en.gridOK = grid, ok
-		} else {
-			prev.gridMu.Unlock()
-		}
+	if prev.sc.KernelName() == sc.KernelName() {
+		en.carryMemo(prev, d)
 	}
 	return en, nil
 }
@@ -338,23 +306,44 @@ func (en *Engine) scoreShards(s *core.Schedule, e, t int) float64 {
 	return gain - en.sc.AssignCost(e)
 }
 
-// Score evaluates one assignment score (Eq. 4) against schedule s. With
-// workers and a large enough user dimension the pass is sharded across the
-// worker set; the result is bit-identical either way. Score is the primitive
-// for the sequentially-dependent passes (INC's and HOR-I's incremental
-// updates, whose decision to evaluate a candidate depends on the previous
-// result); independent frontiers should use ScoreBatch.
+// Score evaluates one assignment score (Eq. 4) against schedule s, served
+// from the prefix memo when t's prefix has it. With workers and a large
+// enough user dimension a computed pass is sharded across the worker set;
+// the result is bit-identical either way. Score is the primitive for the
+// sequentially-dependent passes (INC's and HOR-I's incremental updates,
+// whose decision to evaluate a candidate depends on the previous result);
+// independent frontiers should use ScoreBatch.
 func (en *Engine) Score(s *core.Schedule, e, t int) float64 {
-	nU := en.inst.NumUsers()
-	if en.workers > 1 && nU >= singleParallelUsers {
-		return en.scoreSharded(s, e, t)
+	r := en.rowFor(s, t)
+	if r != nil {
+		if v, ok := r.get(e); ok {
+			en.countHits(1)
+			return v
+		}
 	}
-	en.evals.Add(1)
+	var v float64
+	if en.workers > 1 && en.inst.NumUsers() >= singleParallelUsers {
+		v = en.scoreSharded(s, e, t)
+	} else {
+		en.evals.Add(1)
+		if sk := en.sink; sk != nil {
+			sk.Evals.Inc()
+			en.kernelEvals.Inc()
+		}
+		v = en.scoreShards(s, e, t)
+	}
+	if r != nil {
+		r.put(e, v)
+	}
+	return v
+}
+
+// countHits accounts n evaluations served from the memo.
+func (en *Engine) countHits(n int) {
+	en.gridHits.Add(int64(n))
 	if sk := en.sink; sk != nil {
-		sk.Evals.Inc()
-		en.kernelEvals.Inc()
+		sk.GridHits.Add(int64(n))
 	}
-	return en.scoreShards(s, e, t)
 }
 
 // scoreSharded fans one evaluation's user shards across the worker set and
@@ -438,13 +427,7 @@ func (en *Engine) ScoreBatch(ctx context.Context, s *core.Schedule, cands []Cand
 			sk.BatchCandidates.Observe(float64(len(cands)))
 		}
 	}()
-	var err error
-	if s.Len() == 0 && en.gridEnabled() {
-		err = en.scoreBatchGrid(ctx, s, cands, out)
-	} else {
-		err = en.scoreBatchCompute(ctx, s, cands, out)
-	}
-	if err != nil {
+	if err := en.scoreBatchMemo(ctx, s, cands, out); err != nil {
 		return err
 	}
 	en.batches.Add(1)
@@ -454,38 +437,30 @@ func (en *Engine) ScoreBatch(ctx context.Context, s *core.Schedule, cands []Cand
 	return nil
 }
 
-// gridEnabled reports whether this engine caches empty-schedule scores.
-func (en *Engine) gridEnabled() bool {
-	n := en.inst.NumEvents() * en.inst.NumIntervals()
-	return n > 0 && n <= gridMaxCells
-}
-
-// scoreBatchGrid serves an empty-schedule frontier from the grid cache,
-// computing (and remembering) only the entries not yet known. Values are the
-// exact bits scoreBatchCompute would produce: a cached entry IS a previous
-// scoreShards result over operands that have not changed since.
-func (en *Engine) scoreBatchGrid(ctx context.Context, s *core.Schedule, cands []Candidate, out []float64) error {
+// scoreBatchMemo serves a frontier from the prefix memo, computing (and
+// storing) only the entries not yet known. Values are the exact bits
+// scoreBatchCompute would produce: a memoized entry IS a previous scoreShards
+// result over operands that have not changed since.
+func (en *Engine) scoreBatchMemo(ctx context.Context, s *core.Schedule, cands []Candidate, out []float64) error {
 	nT := en.inst.NumIntervals()
-	en.gridMu.Lock()
-	if en.grid == nil {
-		en.grid = make([]float64, en.inst.NumEvents()*nT)
-		en.gridOK = make([]bool, len(en.grid))
-	}
+	rows := make([]*memoRow, nT)
+	looked := make([]bool, nT)
 	var miss []int
 	for i, cd := range cands {
-		cell := cd.Event*nT + cd.Interval
-		if en.gridOK[cell] {
-			out[i] = en.grid[cell]
-		} else {
-			miss = append(miss, i)
+		t := cd.Interval
+		if !looked[t] {
+			rows[t], looked[t] = en.rowFor(s, t), true
 		}
+		if r := rows[t]; r != nil {
+			if v, ok := r.get(cd.Event); ok {
+				out[i] = v
+				continue
+			}
+		}
+		miss = append(miss, i)
 	}
-	en.gridMu.Unlock()
 	if hits := len(cands) - len(miss); hits > 0 {
-		en.gridHits.Add(int64(hits))
-		if sk := en.sink; sk != nil {
-			sk.GridHits.Add(int64(hits))
-		}
+		en.countHits(hits)
 	}
 	if len(miss) == 0 {
 		return ctx.Err()
@@ -498,14 +473,12 @@ func (en *Engine) scoreBatchGrid(ctx context.Context, s *core.Schedule, cands []
 	if err := en.scoreBatchCompute(ctx, s, mc, mo); err != nil {
 		return err
 	}
-	en.gridMu.Lock()
 	for j, i := range miss {
-		cell := cands[i].Event*nT + cands[i].Interval
-		en.grid[cell] = mo[j]
-		en.gridOK[cell] = true
 		out[i] = mo[j]
+		if r := rows[mc[j].Interval]; r != nil {
+			r.put(mc[j].Event, mo[j])
+		}
 	}
-	en.gridMu.Unlock()
 	return nil
 }
 
@@ -576,10 +549,10 @@ type Stats struct {
 	Evals   int64  `json:"evals"`
 	Batches int64  `json:"batches"`
 	Fanouts int64  `json:"fanouts"`
-	// GridHits counts evaluations served from the empty-schedule grid
-	// cache: work a warm engine (or a later run on a shared one) skipped.
-	// Evals counts only computed passes, so a scheduler's reported
-	// ScoreEvals for one run equals the engine-side evals+gridHits delta.
+	// GridHits counts evaluations served from the prefix memo: work a warm
+	// engine (or a later run on a shared one) skipped. Evals counts only
+	// computed passes, so a scheduler's reported ScoreEvals for one run
+	// equals the engine-side evals+gridHits delta.
 	GridHits int64 `json:"grid_hits,omitempty"`
 }
 

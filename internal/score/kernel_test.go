@@ -51,9 +51,9 @@ func TestEngineKernelSelection(t *testing.T) {
 
 // TestEngineKernelEvalsSink: the per-variant eval counter is bound to the
 // engine's concrete kernel label and moves in step with computed (not
-// grid-served) evaluations.
+// memo-served) evaluations.
 func TestEngineKernelEvalsSink(t *testing.T) {
-	inst := testInstance(22, 6, 3, 2, 400)
+	inst := testInstance(22, 8, 3, 2, 400)
 	en, err := New(inst, core.ScorerOptions{Kernel: core.KernelBlocked})
 	if err != nil {
 		t.Fatal(err)
@@ -63,10 +63,11 @@ func TestEngineKernelEvalsSink(t *testing.T) {
 	kv := r.CounterVec("test_kernel_evals_total", "per-variant evals", "kernel")
 	en.SetSink(&Sink{KernelEvals: kv})
 
+	// Seven distinct events against one prefix: seven computed passes.
 	s := testSchedule(t, inst)
 	const singles = 7
-	for i := 0; i < singles; i++ {
-		en.Score(s, i%inst.NumEvents(), 0)
+	for e := 0; e < singles; e++ {
+		en.Score(s, e, 0)
 	}
 	if got := kv.With(core.KernelBlocked).Value(); got != singles {
 		t.Fatalf("kernel eval counter = %d after %d Score calls, want %d", got, singles, singles)
@@ -74,20 +75,32 @@ func TestEngineKernelEvalsSink(t *testing.T) {
 	if got := kv.With(core.KernelScalar).Value(); got != 0 {
 		t.Fatalf("scalar label moved (%d) on a blocked engine", got)
 	}
+	// Repeats are memo hits: GridHits moves, the kernel counter does not.
+	hits := en.Stat().GridHits
+	for e := 0; e < singles; e++ {
+		en.Score(s, e, 0)
+	}
+	if got := en.Stat().GridHits - hits; got != singles {
+		t.Fatalf("repeat Score calls served %d memo hits, want %d", got, singles)
+	}
+	if got := kv.With(core.KernelBlocked).Value(); got != singles {
+		t.Fatalf("memo-served Score calls moved the kernel eval counter to %d", got)
+	}
 
-	// A batch over a non-empty schedule computes every candidate.
+	// A batch over the same schedule computes every candidate except the
+	// seven interval-0 scores already memoized.
 	grid := fullGrid(inst)
 	out := make([]float64, len(grid))
 	if err := en.ScoreBatch(context.Background(), s, grid, out); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(singles + len(grid))
+	want := int64(len(grid))
 	if got := kv.With(core.KernelBlocked).Value(); got != want {
 		t.Fatalf("kernel eval counter = %d after batch, want %d", got, want)
 	}
 
-	// Empty-schedule batches are grid-cached: the repeat batch is served from
-	// the grid and must NOT count as kernel evaluations.
+	// The repeat empty-schedule batch is served from the memo and must NOT
+	// count as kernel evaluations.
 	empty := core.NewSchedule(inst)
 	if err := en.ScoreBatch(context.Background(), empty, grid, out); err != nil {
 		t.Fatal(err)
@@ -97,13 +110,13 @@ func TestEngineKernelEvalsSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := kv.With(core.KernelBlocked).Value(); got != afterFill {
-		t.Fatalf("grid-served batch moved the kernel eval counter (%d -> %d)", afterFill, got)
+		t.Fatalf("memo-served batch moved the kernel eval counter (%d -> %d)", afterFill, got)
 	}
 }
 
 // TestNewFromPreviousKernelChange: the warm engine path still produces
-// bit-identical scores under a kernel-selection change, but the cached
-// empty-schedule grid must not cross kernel variants (provenance: "which
+// bit-identical scores under a kernel-selection change, but the prefix memo
+// must not cross kernel variants (provenance: "which
 // kernel computed this number" is part of the cache contract).
 func TestNewFromPreviousKernelChange(t *testing.T) {
 	inst := testInstance(23, 6, 3, 2, 300)
@@ -127,8 +140,8 @@ func TestNewFromPreviousKernelChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer same.Close()
-	if same.grid == nil {
-		t.Fatal("same-kernel warm engine dropped the grid carry")
+	if same.MemoCells() == 0 {
+		t.Fatal("same-kernel warm engine dropped the memo carry")
 	}
 
 	changed, err := NewFromPrevious(prev, next, core.ScorerOptions{Kernel: core.KernelBlocked}, d)
@@ -139,8 +152,8 @@ func TestNewFromPreviousKernelChange(t *testing.T) {
 	if changed.KernelName() != core.KernelBlocked {
 		t.Fatalf("warm engine kernel = %q", changed.KernelName())
 	}
-	if changed.grid != nil {
-		t.Fatal("kernel change carried the previous variant's grid")
+	if changed.MemoCells() != 0 {
+		t.Fatal("kernel change carried the previous variant's memo")
 	}
 
 	// Both warm engines still agree bitwise with a cold build of next.

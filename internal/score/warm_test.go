@@ -2,6 +2,7 @@ package score
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -43,77 +44,66 @@ func mutateStep(t *testing.T, inst *core.Instance, step int) (*core.Instance, co
 
 // TestWarmEngineBitIdentical: across a chain of mutations, an engine built
 // warm via NewFromPrevious produces bitwise-identical scores to a cold
-// engine of the same snapshot — full empty-schedule grids (the cached path),
-// partial-schedule batches, single evaluations and utilities — at every
-// worker count.
+// engine of the same snapshot — on the empty schedule and on intervals
+// holding 2–3 assigned events, through single Score calls and batches
+// served from carried memo rows, and in utilities — on dense and sparse
+// instances at every worker count.
 func TestWarmEngineBitIdentical(t *testing.T) {
-	base := testInstance(3, 9, 4, 6, 700)
-	for _, workers := range []int{0, 3, 8} {
-		opts := core.ScorerOptions{Workers: workers}
-		cur := base
-		prev, err := New(cur, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Populate the previous engine's grid the way a solve would.
-		grid := fullGrid(cur)
-		out := make([]float64, len(grid))
-		if err := prev.ScoreBatch(context.Background(), core.NewSchedule(cur), grid, out); err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 4; step++ {
-			next, d := mutateStep(t, cur, step)
-			cold, err := New(next, opts)
+	reps := []struct {
+		name string
+		inst *core.Instance
+	}{
+		{"dense", repInstance(t, 3, 9, 4, 6, 700, 1, core.RepDense)},
+		{"sparse", repInstance(t, 3, 9, 4, 6, 700, 0.2, core.RepSparse)},
+	}
+	for _, rep := range reps {
+		moves := deepMoves(rep.inst)
+		for _, workers := range []int{0, 3, 8} {
+			opts := core.ScorerOptions{Workers: workers}
+			cur := rep.inst
+			prev, err := New(cur, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := NewFromPrevious(prev, next, opts, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			co, wo := make([]float64, len(grid)), make([]float64, len(grid))
-			empty := core.NewSchedule(next)
-			if err := cold.ScoreBatch(context.Background(), empty, grid, co); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.ScoreBatch(context.Background(), empty, grid, wo); err != nil {
-				t.Fatal(err)
-			}
-			for i := range co {
-				if co[i] != wo[i] {
-					t.Fatalf("workers=%d step=%d empty-schedule grid[%d]: cold=%x warm=%x",
-						workers, step, i, co[i], wo[i])
+			// Populate the previous engine's memo the way solves would.
+			memoWalk(t, prev, moves, false)
+			for step := 0; step < 4; step++ {
+				next, d := mutateStep(t, cur, step)
+				cold, err := New(next, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := memoWalk(t, cold, moves, false)
+				coldEvals := cold.Stat().Evals
+				cold.Close()
+				// One warm engine answers singles first, the other batches
+				// first, so both paths are served from carried rows.
+				for _, singlesFirst := range []bool{true, false} {
+					warm, err := NewFromPrevious(prev, next, opts, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := memoWalk(t, warm, moves, singlesFirst)
+					label := fmt.Sprintf("%s workers=%d step=%d singlesFirst=%v", rep.name, workers, step, singlesFirst)
+					sameBits(t, label, want, got)
+					if st := warm.Stat(); st.Evals >= coldEvals {
+						t.Fatalf("%s: warm computed %d evaluations, cold %d: the carry served nothing", label, st.Evals, coldEvals)
+					}
+					if singlesFirst {
+						warm.Close()
+						continue
+					}
+					prev.Close()
+					cur, prev = next, warm
 				}
 			}
-			s := testSchedule(t, next)
-			if err := cold.ScoreBatch(context.Background(), s, grid, co); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.ScoreBatch(context.Background(), s, grid, wo); err != nil {
-				t.Fatal(err)
-			}
-			for i := range co {
-				if co[i] != wo[i] {
-					t.Fatalf("workers=%d step=%d partial-schedule grid[%d]: cold=%x warm=%x",
-						workers, step, i, co[i], wo[i])
-				}
-			}
-			if cs, ws := cold.Score(s, 0, 0), warm.Score(s, 0, 0); cs != ws {
-				t.Fatalf("workers=%d step=%d Score: cold=%x warm=%x", workers, step, cs, ws)
-			}
-			if cu, wu := cold.Utility(s), warm.Utility(s); cu != wu {
-				t.Fatalf("workers=%d step=%d Utility: cold=%x warm=%x", workers, step, cu, wu)
-			}
-			cold.Close()
 			prev.Close()
-			cur, prev = next, warm
 		}
-		prev.Close()
 	}
 }
 
 // TestGridCacheServesRepeats: a second empty-schedule batch on the same
-// engine is served from the grid (GridHits moves, Evals does not) with
+// engine is served from the memo (GridHits moves, Evals does not) with
 // identical values, and a warm engine inherits the clean entries.
 func TestGridCacheServesRepeats(t *testing.T) {
 	inst := testInstance(4, 6, 3, 2, 300)
@@ -129,7 +119,7 @@ func TestGridCacheServesRepeats(t *testing.T) {
 	}
 	st1 := en.Stat()
 	if st1.GridHits != 0 {
-		t.Fatalf("first batch reported %d grid hits", st1.GridHits)
+		t.Fatalf("first batch reported %d memo hits", st1.GridHits)
 	}
 	if err := en.ScoreBatch(context.Background(), core.NewSchedule(inst), grid, b); err != nil {
 		t.Fatal(err)
@@ -187,8 +177,9 @@ func TestWarmEngineRejects(t *testing.T) {
 	}
 }
 
-// TestGridCacheConcurrent: overlapping empty-schedule batches on one shared
-// engine (the sesd sharing pattern) race-cleanly agree on every value.
+// TestGridCacheConcurrent: overlapping empty-schedule batches and
+// partial-schedule single evaluations on one shared engine (the sesd sharing
+// pattern) race-cleanly agree on every value.
 func TestGridCacheConcurrent(t *testing.T) {
 	inst := testInstance(6, 10, 5, 4, 900)
 	en, err := New(inst, core.ScorerOptions{Workers: 4})
@@ -199,8 +190,11 @@ func TestGridCacheConcurrent(t *testing.T) {
 	grid := fullGrid(inst)
 	ref := make([]float64, len(grid))
 	sc := core.NewScorer(inst)
+	partial := testSchedule(t, inst)
+	refPartial := make([]float64, len(grid))
 	for i, cd := range grid {
 		ref[i] = sc.Score(core.NewSchedule(inst), cd.Event, cd.Interval)
+		refPartial[i] = sc.Score(partial, cd.Event, cd.Interval)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -216,6 +210,12 @@ func TestGridCacheConcurrent(t *testing.T) {
 				for i := range out {
 					if out[i] != ref[i] {
 						t.Errorf("concurrent grid[%d] = %x, want %x", i, out[i], ref[i])
+						return
+					}
+				}
+				for i, cd := range grid {
+					if got := en.Score(partial, cd.Event, cd.Interval); got != refPartial[i] {
+						t.Errorf("concurrent partial Score %+v = %x, want %x", cd, got, refPartial[i])
 						return
 					}
 				}

@@ -27,7 +27,7 @@ type engineKey struct {
 // accumulates the mutation's ScorerDelta here instead of dropping the
 // engine, and a later acquire for the new version rebuilds from it via
 // score.NewFromPrevious — only the dirty accumulators, carrying the clean
-// empty-schedule grid across. warmTo tracks how far the accumulated delta
+// prefix memo across. warmTo tracks how far the accumulated delta
 // reaches: the entry can warm-start exactly the version warmTo names.
 type engineEntry struct {
 	key  engineKey
@@ -99,7 +99,7 @@ func (ec *engineCache) setCurrent(fn func(name string) (uint64, bool)) {
 // A miss prefers a WARM build: if a retired predecessor of the same name and
 // options can reach exactly key.version (warmTo matches), the new engine is
 // built from it via score.NewFromPrevious — reusing the clean precompute and
-// empty-schedule grid, bit-identical to a cold build — and the predecessor,
+// prefix memo, bit-identical to a cold build — and the predecessor,
 // now fully superseded, is dropped. Any warm-path error falls back to a
 // cold build.
 func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.ScorerOptions) (en *score.Engine, release func(), reused bool, err error) {
@@ -218,7 +218,7 @@ func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.Sco
 // Entries whose accumulated delta can no longer reach newVer (a missed
 // retire — cannot happen through the store's serialized mutation pipeline,
 // but guarded anyway) or whose dirtiness approaches the instance size (a
-// warm rebuild would approach cold cost while the stale grid pins memory)
+// warm rebuild would approach cold cost while the stale memo pins memory)
 // are dropped like invalidate would.
 func (ec *engineCache) retire(name string, newVer uint64, d core.ScorerDelta) {
 	ec.mu.Lock()
@@ -346,6 +346,18 @@ func (ec *engineCache) len() int {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	return len(ec.m)
+}
+
+// memoCells sums the prefix-memo cells of the cached engines (for the
+// metrics gauge).
+func (ec *engineCache) memoCells() int64 {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	var n int64
+	for _, e := range ec.m {
+		n += e.en.MemoCells()
+	}
+	return n
 }
 
 // stats samples the cache counters.

@@ -168,12 +168,15 @@ func (s *Server) initMetrics() {
 		BatchSeconds: r.Histogram("sesd_score_batch_duration_seconds",
 			"Wall time of one batched frontier-scoring call.", metrics.DurationBuckets),
 		GridHits: r.Counter("sesd_score_grid_hits_total",
-			"Batched candidate scores served from the empty-schedule grid instead of recomputed."),
+			"Eq. 4 scores served from an engine's prefix memo instead of recomputed."),
 		KernelEvals: r.CounterVec("sesd_score_kernel_evals_total",
 			"Eq. 4 evaluations partitioned by the kernel variant that computed them.",
 			"kernel"),
 	}
 	s.engines.sink = s.scoreSink
+	r.GaugeFunc("sesd_score_memo_cells",
+		"Score cells held by the prefix memos of cached engines (8 bytes each).",
+		func() float64 { return float64(s.engines.memoCells()) })
 	// Kernel identity: the server-wide -kernel selection as a one-hot info
 	// gauge, so dashboards can join per-variant series against what this
 	// process was configured to run.

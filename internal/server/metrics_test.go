@@ -101,6 +101,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"sesd_result_cache_hits_total", 1},
 		{"sesd_result_cache_misses_total", 1},
 		{"sesd_engine_cache_misses_total", 1},
+		// The solve's engine stays cached with its prefix memo filled.
+		{"sesd_score_memo_cells", 1},
 		{"sesd_pool_jobs_completed_total", 1},
 		{"sesd_pool_queue_wait_seconds_count", 1},
 		{`sesd_http_request_duration_seconds_count{route="solve"}`, 2},
@@ -114,6 +116,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// families present (rendering zero memory-only).
 	if got := sampleValue(t, before, "sesd_wal_enabled"); got != 0 {
 		t.Errorf("sesd_wal_enabled = %v on a memory-only server", got)
+	}
+	if got := sampleValue(t, before, "sesd_score_memo_cells"); got != 0 {
+		t.Errorf("sesd_score_memo_cells = %v before any engine exists", got)
 	}
 
 	// Request-ID contract: generated when absent, echoed when supplied.

@@ -18,11 +18,12 @@ import (
 // mutationDelta maps an applied MutateRequest to the scorer-level dirty set
 // used by the engine cache's warm-rebuild path:
 //
-//   - an interest edit dirties exactly that event's grid row (ρ column);
+//   - an interest edit dirties exactly that event's column: its memoized
+//     scores, and every memo prefix that contains it;
 //   - a competing-interest edit or a new competing event dirties the
 //     competition sum of the interval the competing event occupies;
 //   - an activity edit dirties that interval's weighted-activity column (and
-//     its grid column: activity is read by empty-schedule scores too).
+//     its memo rows: every score at the interval reads activity).
 //
 // inst must be a snapshot at or after the mutated version: competing indexes
 // only ever append and an existing competing event's interval is immutable,
@@ -120,7 +121,7 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, seio.BatchMutateResponse{Instance: info, Applied: applied})
 }
 
-// resolveCurrent solves the instance's CURRENT version with the exact-mode
+// resolveCurrent solves the instance's CURRENT version with the
 // incremental path: result-cache fast path first, then a pooled run on the
 // engine-cache's engine for that version — a warm delta rebuild when the
 // preceding mutation retired one. The bool reports whether the answer reused
@@ -182,7 +183,12 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 			return
 		}
 		defer releaseEngine()
-		res, _, err := algo.Resolve(ctx, algorithm, seed, en, k, nil, false)
+		sched, err := algo.NewWithEngine(algorithm, seed, en)
+		if err != nil {
+			slvErr = err
+			return
+		}
+		res, err := sched.ScheduleCtx(ctx, en.Instance(), k)
 		if err != nil {
 			slvErr = err
 			return
@@ -200,7 +206,7 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 			Examined:   res.Examined,
 			ElapsedMS:  seio.DurationMS(res.Elapsed),
 		}
-		// Exact mode is bit-identical to a cold solve, so the result is a
+		// A warm solve is bit-identical to a cold one, so the result is a
 		// first-class citizen of the result cache and the solve WAL.
 		s.cache.Put(key, resp)
 		s.appendSolveRecord(key, resp)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/seio"
 )
@@ -164,6 +165,11 @@ func TestSubscribeStream(t *testing.T) {
 	if srv.resolveSolves.Load() != 2 || srv.resolveWarm.Load() != 1 || srv.resolveFallback.Load() != 1 {
 		t.Errorf("resolve counters solves=%d warm=%d fallback=%d, want 2/1/1",
 			srv.resolveSolves.Load(), srv.resolveWarm.Load(), srv.resolveFallback.Load())
+	}
+	// The push counter moves only after the event is flushed, so the client
+	// can read the event first: wait for the increment to land.
+	for deadline := time.Now().Add(5 * time.Second); srv.resolvePushes.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if srv.resolvePushes.Load() != 2 {
 		t.Errorf("pushes = %d, want 2", srv.resolvePushes.Load())
