@@ -1,9 +1,8 @@
-// Command kernelbench measures the Eq. 4 kernel variants in isolation:
-// per-term timings for every registered variant (scalar, blocked, sparse,
-// and — in `-tags sessimd` builds — simd) across the four denominator cases
-// at 1%, 5% and 100% interest density. Emits sesbench-compatible rows
-// (-json) so cmd/benchdiff can gate utility drift and wall time for the
-// exact variants; see bench/baseline/README.md.
+// Command kernelbench measures the two Eq. 4 loops in isolation: per-term
+// timings for the scalar (dense) and sparse loops across the four
+// denominator cases at 1%, 5% and 100% interest density. Emits
+// sesbench-compatible rows (-json) so cmd/benchdiff can gate utility drift
+// and wall time; see bench/baseline/README.md.
 package main
 
 import (

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/score"
 )
@@ -34,7 +33,6 @@ func Sesbench(args []string, stdout, stderr io.Writer) int {
 		verbose  = fs.Bool("v", false, "log every measurement as it completes")
 		trials   = fs.Int("trials", 5, "trials per dataset for -fig summary / stacking")
 		parallel = fs.Int("parallel", 0, "score with this many workers per measurement (0 = sequential, -1 = all cores; identical utilities/counters, lower wall time)")
-		kernel   = fs.String("kernel", "auto", "Eq. 4 kernel variant: auto|scalar|blocked|simd (exact variants keep utilities/counters bit-identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -43,9 +41,6 @@ func Sesbench(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := core.CheckKernel(*kernel); err != nil {
-		return fail(stderr, "sesbench", err)
-	}
 	sc, err := exp.ScaleByName(*scale)
 	if err != nil {
 		return fail(stderr, "sesbench", err)
@@ -53,7 +48,7 @@ func Sesbench(args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		*parallel = score.DefaultWorkers()
 	}
-	o := exp.Options{Scale: sc, Seed: *seed, Workers: *parallel, Kernel: *kernel}
+	o := exp.Options{Scale: sc, Seed: *seed, Workers: *parallel}
 	if *datasets != "" {
 		o.Datasets = strings.Split(*datasets, ",")
 	}

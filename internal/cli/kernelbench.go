@@ -12,22 +12,19 @@ import (
 	"repro/internal/seio"
 )
 
-// Kernelbench measures the Eq. 4 kernel variants in isolation: one full-range
+// Kernelbench measures the two Eq. 4 loops in isolation: one full-range
 // scoring pass per measurement, pinned to each of the four denominator cases
 // (FREE: no competing interest and nothing assigned, COMP: competing only,
 // ASSIGNED: assigned only, FULL: both), at 1%, 5% and 100% interest density.
-// Exact dense variants (scalar, blocked) run every user; the sparse variant
-// runs the same problem through its nonzero lists, so its per-pass work — the
-// "work" column, nonzeros instead of |U| — shrinks with density. The simd
-// variant joins automatically in `-tags sessimd` builds.
+// The scalar loop runs every user of a dense instance; the sparse loop runs
+// the same problem through its nonzero lists, so its per-pass work — the
+// "work" column, nonzeros instead of |U| — shrinks with density.
 //
 // Output is the sesbench row vocabulary (-json → {"rows": [...]}), so
 // cmd/benchdiff compares runs exactly like the solver benchmarks: Utility
-// carries the measured pass's gain (bit-stable for exact variants — the
-// drift gate), ScoreEvals the rep count, and Elapsed the series wall time.
-// CI keeps a baseline in bench/baseline/kernel/ generated WITHOUT the sessimd
-// tag, which is what keeps the inexact simd variant outside the utility-drift
-// and wall-time gates: its rows simply never enter the baseline.
+// carries the measured pass's gain (bit-stable, and equal across the two
+// loops — the drift gate), ScoreEvals the rep count, and Elapsed the series
+// wall time. CI keeps a baseline in bench/baseline/kernel/.
 func Kernelbench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kernelbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -83,7 +80,7 @@ var kernelCases = []kernelCase{
 }
 
 // benchKernels builds one dense+sparse instance pair at the given density
-// and times every available kernel variant through all four cases.
+// and times both loops through all four cases.
 func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Row, error) {
 	dense, err := kernelbenchInstance(seed, nU, pct, core.RepDense)
 	if err != nil {
@@ -94,26 +91,15 @@ func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Ro
 		return nil, err
 	}
 
-	type variant struct {
+	// The representation picks the loop; the names are the row labels.
+	variants := []struct {
 		name string
 		inst *core.Instance
-		sel  string
-	}
-	variants := []variant{
-		{core.KernelScalar, dense, core.KernelScalar},
-		{core.KernelBlocked, dense, core.KernelBlocked},
-		{core.KernelSparse, sparse, core.KernelAuto},
-	}
-	if core.CheckKernel(core.KernelSIMD) == nil {
-		variants = append(variants, variant{core.KernelSIMD, dense, core.KernelSIMD})
-	}
+	}{{"scalar", dense}, {"sparse", sparse}}
 
 	var rows []exp.Row
 	for _, v := range variants {
-		sc, err := core.NewScorerWithOptions(v.inst, core.ScorerOptions{Kernel: v.sel})
-		if err != nil {
-			return nil, err
-		}
+		sc := core.NewScorer(v.inst)
 		// Events 1 and 2 fill the case contexts; event 0 stays the measured
 		// candidate. Interval 0 carries all competing events, interval 1 none.
 		full := core.NewSchedule(v.inst)
@@ -124,12 +110,9 @@ func benchKernels(seed uint64, nU, pct int, budget int64, maxReps int) ([]exp.Ro
 			return nil, err
 		}
 		empty := core.NewSchedule(v.inst)
-		// The sparse variant's per-pass work is the candidate column's
-		// nonzero count; the dense variants always stream |U|.
-		work := int64(nU)
-		if v.name == core.KernelSparse {
-			work = int64(v.inst.ColNonzeros(0))
-		}
+		// The sparse loop's per-pass work is the candidate column's
+		// nonzero count; the scalar loop always streams |U|.
+		work := int64(v.inst.ColNonzeros(0))
 		if work == 0 {
 			work = 1
 		}

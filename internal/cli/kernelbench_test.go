@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func kernelbenchRows(t *testing.T) []map[string]any {
@@ -26,11 +24,8 @@ func kernelbenchRows(t *testing.T) []map[string]any {
 
 func TestKernelbenchJSON(t *testing.T) {
 	rows := kernelbenchRows(t)
-	variants := []string{core.KernelScalar, core.KernelBlocked, core.KernelSparse}
-	if core.CheckKernel(core.KernelSIMD) == nil {
-		variants = append(variants, core.KernelSIMD)
-	}
-	// Three densities × variants × four denominator cases.
+	variants := []string{"scalar", "sparse"}
+	// Three densities × loops × four denominator cases.
 	if want := 3 * len(variants) * 4; len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
@@ -65,8 +60,8 @@ func TestKernelbenchJSON(t *testing.T) {
 }
 
 // TestKernelbenchDeterministic: the gain column (benchdiff's drift gate) is
-// bit-stable across runs, exact variants agree with each other exactly, and
-// the sparse variant's per-pass work shrinks with density.
+// bit-stable across runs, the sparse loop's gains equal the scalar loop's
+// exactly, and the sparse loop's per-pass work shrinks with density.
 func TestKernelbenchDeterministic(t *testing.T) {
 	key := func(r map[string]any) string {
 		return r["dataset"].(string) + "/" + r["algorithm"].(string) + "/" + r["xname"].(string)
@@ -81,20 +76,20 @@ func TestKernelbenchDeterministic(t *testing.T) {
 		if gains[c] == nil {
 			gains[c] = map[int]float64{}
 		}
-		if v == core.KernelScalar {
+		if v == "scalar" {
 			gains[c][pct] = r["utility"].(float64)
 		}
 	}
 	var sparseWork []float64
 	for _, r := range a {
 		v, c, pct := r["dataset"].(string), r["algorithm"].(string), int(r["x"].(float64))
-		switch v {
-		case core.KernelBlocked, core.KernelSparse:
-			if got := r["utility"].(float64); got != gains[c][pct] {
-				t.Errorf("%s/%s at %d%%: gain %x differs from scalar %x", v, c, pct, got, gains[c][pct])
-			}
+		if v != "sparse" {
+			continue
 		}
-		if v == core.KernelSparse && c == "FREE" {
+		if got := r["utility"].(float64); got != gains[c][pct] {
+			t.Errorf("sparse/%s at %d%%: gain %x differs from scalar %x", c, pct, got, gains[c][pct])
+		}
+		if c == "FREE" {
 			sparseWork = append(sparseWork, r["users"].(float64))
 		}
 	}

@@ -30,7 +30,6 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "seed for RAND and -simulate")
 		simulate = fs.Int("simulate", 0, "cross-check Ω with this many Monte-Carlo trials")
 		parallel = fs.Int("parallel", 0, "score with this many engine workers (0 = sequential, -1 = all cores; utilities are bit-identical)")
-		kernel   = fs.String("kernel", "auto", "Eq. 4 kernel variant: auto|scalar|blocked|simd (simd needs a -tags sessimd build)")
 		workers  = fs.Int("workers", 0, "deprecated alias for -parallel")
 		quiet    = fs.Bool("q", false, "suppress the per-event table")
 
@@ -43,9 +42,6 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if err := core.CheckKernel(*kernel); err != nil {
-		return fail(stderr, "sesrun", err)
 	}
 	if *batch != "" {
 		if *ks == "" {
@@ -85,7 +81,7 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		*parallel = score.DefaultWorkers()
 	}
-	s, err := algo.NewWithOptions(*algoName, *seed, core.ScorerOptions{Workers: *parallel, Kernel: *kernel})
+	s, err := algo.NewWithOptions(*algoName, *seed, core.ScorerOptions{Workers: *parallel})
 	if err != nil {
 		return fail(stderr, "sesrun", err)
 	}

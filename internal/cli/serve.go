@@ -16,7 +16,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/seio"
 	"repro/internal/server"
 )
@@ -47,7 +46,6 @@ func Sesd(args []string, stdout, stderr io.Writer) int {
 		jobTTL     = fs.Duration("job-ttl", 15*time.Minute, "how long finished sweep jobs stay pollable")
 		jobCells   = fs.Int("job-cells", 256, "max cells (algorithms × k values) per sweep job")
 		parallel   = fs.Int("parallel", 0, "scoring workers per solve (0 = sequential, -1 = all cores; keep workers × parallel near the core count)")
-		kernel     = fs.String("kernel", "auto", "Eq. 4 kernel variant for every engine: auto|scalar|blocked|simd")
 		maxBody    = fs.Int64("max-body-mb", 256, "request body limit in MiB (a 1M-user sparse upload at 5% density is ~600 MiB)")
 		dataDir    = fs.String("data-dir", "", "durable data directory (WAL + snapshots, recovered on boot); empty = in-memory only")
 		fsync      = fs.Bool("fsync", false, "fsync the WAL after every append (survives power loss, slower; SIGKILL loses nothing either way)")
@@ -63,10 +61,6 @@ func Sesd(args []string, stdout, stderr io.Writer) int {
 	}
 	logger, err := newLogger(*logFormat, stdout)
 	if err != nil {
-		fmt.Fprintf(stderr, "sesd: %v\n", err)
-		return 2
-	}
-	if err := core.CheckKernel(*kernel); err != nil {
 		fmt.Fprintf(stderr, "sesd: %v\n", err)
 		return 2
 	}
@@ -154,7 +148,6 @@ func Sesd(args []string, stdout, stderr io.Writer) int {
 		s, err := server.New(server.Config{
 			Workers: *workers, Queue: *queue, CacheSize: *cache,
 			JobTTL: *jobTTL, MaxJobCells: *jobCells, ScoreWorkers: *parallel,
-			ScoreKernel:  *kernel,
 			MaxBodyBytes: *maxBody << 20,
 			DataDir:      *dataDir, Fsync: *fsync, SegmentBytes: *segBytes, CompactEvery: *compact,
 			TraceStore: *traceStore, TraceSlow: *traceSlow,

@@ -14,7 +14,7 @@
 // or — for the highly sparse interest structure of the real datasets — as
 // per-event nonzero lists (see sparse.go); activity is a dense float32
 // matrix. Every score computation is one pass over an event's users (the
-// paper's "|U| computations per assignment score"), and the sparse kernels
+// paper's "|U| computations per assignment score"), and the sparse loops
 // reproduce the dense float64 accumulation bit for bit while touching only
 // nonzeros.
 package core

@@ -18,10 +18,9 @@ import (
 // arrive unsorted; out-of-range indices are rejected (the warm build fails
 // and the caller falls back to a cold one).
 type ScorerDelta struct {
-	// Events lists candidate events whose interest column changed.
-	// The Scorer itself stores no per-event state — interest columns live
-	// in the instance — but the engine's prefix memo does, so the dirty
-	// set travels here.
+	// Events lists candidate events whose interest column changed. A
+	// sparse scorer rebuilds these columns' shard offsets, and the
+	// engine's prefix memo drops their entries.
 	Events []int
 	// CompIntervals lists intervals whose competing-interest sum changed:
 	// a competing event in the interval had cells edited, or a new
@@ -110,6 +109,8 @@ func markSet(idx []int, n int) []bool {
 //   - with UserWeights, clean weighted-activity columns are copied from
 //     prev and dirty ones recomputed cell by cell; each cell is a single
 //     independent multiply, so per-column rebuild matches the cold build.
+//   - on a sparse instance, clean candidate events share prev's shard-offset
+//     slices and dirty ones rebuild theirs from the new user list.
 //
 // prev must have been built for the previous snapshot of the same instance
 // chain with the same options (same UserWeights/EventCost values); shape or
@@ -143,6 +144,7 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 		inst:    inst,
 		compSum: make([][]float64, inst.NumIntervals()),
 		cost:    opts.EventCost,
+		off:     newShardOffsets(inst, prev.off, d.Events),
 	}
 	dirtyComp := markSet(d.CompIntervals, inst.NumIntervals())
 	for t := range sc.compSum {
@@ -181,21 +183,5 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 			}
 		}
 	}
-
-	// The kernel builds last, with warm hints: factories that precompute
-	// per-column layout (sparse shard offsets, blocked widened tiles) share
-	// the previous kernel's slices for columns the delta left clean and
-	// rebuild only the dirty ones. A kernel-selection change between prev
-	// and opts simply misses the reuse (the type assertion in the factory
-	// fails) and builds cold — never mixes variants.
-	sc.warmPrev = prev.kern
-	sc.warmDirtyEvents = d.Events
-	sc.warmDirtyActs = d.ActIntervals
-	k, kerr := buildKernel(sc, opts.Kernel)
-	sc.warmPrev, sc.warmDirtyEvents, sc.warmDirtyActs = nil, nil, nil
-	if kerr != nil {
-		return nil, kerr
-	}
-	sc.kern = k
 	return sc, nil
 }

@@ -32,14 +32,6 @@ type ScorerOptions struct {
 	// boundaries make parallel results bit-identical to its sequential
 	// fallback for every worker count.
 	Workers int
-	// Kernel selects the Eq. 4 kernel variant by registry name (see
-	// kernel.go): "auto" (or empty) reproduces the historical
-	// representation dispatch, "scalar"/"blocked" force an exact variant,
-	// "simd" the tolerance-bounded vector one. Unknown names and variants
-	// compiled out of this build are construction errors, as is a variant
-	// that cannot run on the instance's representation — selection never
-	// silently substitutes a different kernel.
-	Kernel string
 }
 
 // validate checks dimensions and ranges against the instance.
@@ -67,9 +59,6 @@ func (o ScorerOptions) validate(inst *Instance) error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	}
-	if err := CheckKernel(o.Kernel); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -79,7 +68,7 @@ func NewScorerWithOptions(inst *Instance, opts ScorerOptions) (*Scorer, error) {
 	if err := opts.validate(inst); err != nil {
 		return nil, err
 	}
-	sc := newScorerBase(inst)
+	sc := NewScorer(inst)
 	sc.cost = opts.EventCost
 	if opts.UserWeights != nil {
 		// Fold the weights into a scorer-private activity matrix so the
@@ -94,13 +83,6 @@ func NewScorerWithOptions(inst *Instance, opts ScorerOptions) (*Scorer, error) {
 			}
 		}
 	}
-	// The kernel builds last: variants may precompute layout from the
-	// weighted activity (blocked) or reject the representation (simd).
-	k, err := buildKernel(sc, opts.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	sc.kern = k
 	return sc, nil
 }
 

@@ -1,220 +1,36 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
-// The Eq. 4 kernel surface.
+// The Eq. 4 kernel.
 //
 // Every scheduler's hot path — and sesd's warm re-solve loop — bottoms out in
 // the same computation: the Eq. 4 gain of one assignment α_e^t accumulated
-// over a range of users, plus the per-interval interest-sum accumulation that
-// maintains the denominators that gain reads (the scorer's competing sums and
-// the schedule's assigned sums). This file defines that computation as a
-// first-class, pluggable surface: a Kernel bundles the user-range scoring
-// pass with the column-accumulation entry points, variants register
-// themselves by name, and each Scorer resolves one variant at construction
-// (ScorerOptions.Kernel; "auto" reproduces the historical representation
-// dispatch exactly).
+// over a range of users. The instance representation picks the loop:
 //
-// The variants:
+//   - dense instances run the branch-free scalar loops over the event-major
+//     layout (kernel_scalar.go);
+//   - sparse instances iterate only a column's nonzeros, in ascending user
+//     order, through a per-shard offset table built with the scorer
+//     (kernel_sparse.go).
 //
-//   - "scalar" (kernel_scalar.go) is the reference: the branch-free scalar
-//     loops over the dense event-major layout. On a sparse instance the
-//     sparse kernel IS the scalar reference for that representation, so
-//     "scalar" resolves to it there.
-//   - sparse (kernel_sparse.go) iterates only a column's nonzeros, in
-//     ascending user order, so it is bit-identical to scalar (every skipped
-//     µ = 0 term contributes exactly +0.0). It is not selectable by name:
-//     the representation picks it.
-//   - "blocked" (kernel_blocked.go) re-packs the dense µ and activity
-//     columns into widened, tile-aligned float64 columns and walks them in
-//     fixed user tiles. Same values, same operations, same order — results
-//     stay bit-identical to scalar; only the memory traffic changes.
-//   - "simd" (kernel_simd_amd64.go, build tag `sessimd`, amd64 only) runs
-//     the four denominator cases through two-lane SSE2 vector loops. Vector
-//     lanes accumulate independently, so results are NOT bit-identical:
-//     they carry a documented, tolerance-tested reassociation error (see
-//     simdTolerance) and must never feed the bit-exact gates.
-//
-// Exactness is part of the interface (Kernel.Exact): the CI bit-identity and
-// benchdiff gates run only exact kernels, and the SIMD variant keeps its own
-// tolerance-checked test and bench series.
+// The two loops are bit-identical: every µ = 0 term the sparse loop skips
+// contributes exactly +0.0 to the dense accumulator.
 
 // ShardUsers is the fixed user-shard width of the parallel scoring engine
 // (internal/score reduces Eq. 4 passes in shards of exactly this many users,
 // in shard order, which is what makes parallel results bit-identical). It is
-// declared here because kernels precompute per-shard state against this grid:
-// the sparse kernel resolves each column's [start, end) nonzero offsets per
-// shard once at Scorer construction instead of binary-searching on every
+// declared here because the sparse loop precomputes per-shard state against
+// this grid: each column's [start, end) nonzero offsets per shard, resolved
+// once at Scorer construction instead of binary-searching on every
 // ScoreUsers call.
 const ShardUsers = 8192
 
-// Kernel is one Eq. 4 kernel variant, bound to one Scorer's instance at
-// construction time (variants may precompute per-instance layout: the sparse
-// kernel's shard offsets, the blocked kernel's widened tiles).
-//
-// A Kernel must be safe for concurrent use after construction — the scoring
-// engine calls ScoreRange from many goroutines at once — so implementations
-// precompute in their factory and stay read-only afterwards.
-type Kernel interface {
-	// Name returns the variant's registry name as resolved for this
-	// instance (e.g. "auto" resolves to "scalar", "sparse" or another
-	// concrete variant; Name reports the concrete one).
-	Name() string
-	// Exact reports whether ScoreRange reproduces the scalar reference
-	// kernel bit for bit. Exact kernels are interchangeable under the CI
-	// bit-identity gates; inexact ones (SIMD) are tolerance-tested and
-	// excluded from gated figures.
-	Exact() bool
-	// ScoreRange computes the Eq. 4 gain of assignment α_e^t restricted to
-	// users [lo, hi), excluding the event's organization cost. It is the
-	// shard primitive: summing ScoreRange over a partition of [0, |U|) in
-	// shard order reproduces the full-range pass.
-	ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) float64
-	// AddColInto accumulates interest column h into dst (dst[u] += µ(u, h))
-	// and SubColInto subtracts it — the compSum/assignedSum accumulation
-	// entry points behind the scorer's competing-sum precompute and the
-	// schedule's per-interval running interest sums. All variants must be
-	// bit-identical here: accumulated sums feed every kernel's denominators,
-	// so a drifting accumulator would poison exact kernels too.
-	AddColInto(inst *Instance, h int, dst []float64)
-	SubColInto(inst *Instance, h int, dst []float64)
-}
-
-// KernelFactory builds a kernel variant for a scorer whose instance, compSum
-// and (possibly weighted) activity are already constructed. Factories return
-// an error when the variant cannot run for this scorer (e.g. SIMD on a
-// sparse instance); callers surface it rather than silently substituting.
-type KernelFactory func(sc *Scorer) (Kernel, error)
-
-// kernelEntry is one registered variant: a factory, or — for variants
-// compiled out of this build (SIMD without the `sessimd` tag) — the error
-// explaining how to get them.
-type kernelEntry struct {
-	factory     KernelFactory
-	unavailable error
-}
-
-var (
-	kernelMu       sync.RWMutex
-	kernelRegistry = map[string]kernelEntry{}
-)
-
-// RegisterKernel adds a kernel variant under a selection name. Registration
-// normally happens in init functions of the variant files; registering a
-// duplicate name panics (two variants claiming one name is a build error,
-// not a runtime condition).
-func RegisterKernel(name string, f KernelFactory) {
-	registerKernelEntry(name, kernelEntry{factory: f})
-}
-
-// registerKernelUnavailable records a variant that exists but is compiled
-// out of this build, so selection fails with an actionable error instead of
-// "unknown kernel".
-func registerKernelUnavailable(name string, err error) {
-	registerKernelEntry(name, kernelEntry{unavailable: err})
-}
-
-func registerKernelEntry(name string, e kernelEntry) {
-	if name == "" {
-		panic("core: RegisterKernel with an empty name")
-	}
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	if _, dup := kernelRegistry[name]; dup {
-		panic("core: duplicate kernel registration: " + name)
-	}
-	kernelRegistry[name] = e
-}
-
-// KernelNames lists the registered selection names, sorted. Unavailable
-// variants (compiled out of this build) are included — they are selectable,
-// they just fail with their availability error.
-func KernelNames() []string {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	names := make([]string, 0, len(kernelRegistry))
-	for n := range kernelRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CheckKernel validates a selection name without building anything: unknown
-// names and variants compiled out of this build are errors. CLIs call it at
-// flag-parse time so a misspelled -kernel fails before any instance loads.
-func CheckKernel(name string) error {
-	_, err := lookupKernel(name)
-	return err
-}
-
-// lookupKernel resolves a selection name to its factory. The empty name is
-// KernelAuto.
-func lookupKernel(name string) (KernelFactory, error) {
-	if name == "" {
-		name = KernelAuto
-	}
-	kernelMu.RLock()
-	e, ok := kernelRegistry[name]
-	kernelMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown kernel %q (have %v)", name, KernelNames())
-	}
-	if e.unavailable != nil {
-		return nil, e.unavailable
-	}
-	return e.factory, nil
-}
-
-// The built-in selection names. KernelAuto is the default and reproduces the
-// historical behavior exactly: the representation picks the kernel (sparse
-// instances score through the nonzero lists, dense ones through the scalar
-// loops).
-const (
-	KernelAuto    = "auto"
-	KernelScalar  = "scalar"
-	KernelBlocked = "blocked"
-	KernelSIMD    = "simd"
-)
-
-func init() {
-	RegisterKernel(KernelAuto, newAutoKernel)
-	RegisterKernel(KernelScalar, newScalarSelection)
-	RegisterKernel(KernelBlocked, newBlockedSelection)
-}
-
-// newAutoKernel picks the representation's reference kernel: sparse columns
-// score through the sparse kernel, dense matrices through the scalar one.
-func newAutoKernel(sc *Scorer) (Kernel, error) {
-	if sc.inst.sparse != nil {
-		return newSparseKernel(sc)
-	}
-	return scalarKernel{}, nil
-}
-
-// buildKernel resolves a selection name and constructs the kernel for sc.
-func buildKernel(sc *Scorer, name string) (Kernel, error) {
-	f, err := lookupKernel(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(sc)
-}
-
-// Kernel returns the kernel variant the scorer dispatches to.
-func (sc *Scorer) Kernel() Kernel { return sc.kern }
-
-// KernelName returns the concrete name of the scorer's kernel variant
-// ("scalar", "sparse", "blocked", "simd") — what "auto" or a forced
-// selection resolved to for this instance.
-func (sc *Scorer) KernelName() string { return sc.kern.Name() }
-
-// scoreUserRange dispatches the Eq. 4 gain over users [lo, hi) to the
-// scorer's kernel: the single point every scoring path funnels through.
+// scoreUserRange computes the Eq. 4 gain of α_e^t over users [lo, hi),
+// excluding the event's organization cost: the single point every scoring
+// path funnels through. The shard-offset table exists exactly when the
+// instance is sparse.
 func (sc *Scorer) scoreUserRange(s *Schedule, e, t, lo, hi int) float64 {
-	return sc.kern.ScoreRange(sc, s, e, t, lo, hi)
+	if sc.off != nil {
+		return sc.scoreSparseRange(s, e, t, lo, hi)
+	}
+	return sc.scoreDenseRange(s, e, t, lo, hi)
 }

@@ -1,33 +1,16 @@
 package core
 
-// The scalar dense kernel: the reference Eq. 4 implementation every other
-// variant is tested against. Branch-free loops over the instance's dense
-// event-major layout; see denomEps (score.go) for why the denominators carry
-// an epsilon instead of a zero-check branch.
+// The scalar dense loop: the reference Eq. 4 implementation the sparse loop
+// is tested against. Branch-free loops over the instance's dense event-major
+// layout; see denomEps (score.go) for why the denominators carry an epsilon
+// instead of a zero-check branch.
 
-// scalarKernel is stateless: it reads the instance's dense matrices directly.
-type scalarKernel struct{}
-
-// newScalarSelection resolves the "scalar" selection: the dense scalar loops,
-// or — on a sparse instance, where the dense layout does not exist — the
-// sparse kernel, which is the scalar reference for that representation.
-func newScalarSelection(sc *Scorer) (Kernel, error) {
-	if sc.inst.sparse != nil {
-		return newSparseKernel(sc)
-	}
-	return scalarKernel{}, nil
-}
-
-func (scalarKernel) Name() string { return KernelScalar }
-func (scalarKernel) Exact() bool  { return true }
-
-// ScoreRange computes the Eq. 4 gain restricted to users [lo, hi): one pass
-// over four parallel arrays (µ column, activity column, competing sum,
+// scoreDenseRange computes the Eq. 4 gain restricted to users [lo, hi): one
+// pass over four parallel arrays (µ column, activity column, competing sum,
 // assigned sum), specialized per denominator case so intervals without
 // competition or assignments skip the work entirely.
-func (scalarKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) float64 {
-	inst := sc.inst
-	mu := inst.interestCol(e)[lo:hi]
+func (sc *Scorer) scoreDenseRange(s *Schedule, e, t, lo, hi int) float64 {
+	mu := sc.inst.interestCol(e)[lo:hi]
 	act := sc.scoreActivityCol(t)[lo:hi]
 	comp := sc.compSum[t]
 	assigned := s.assignedInterestSum(t)
@@ -63,14 +46,6 @@ func (scalarKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) float6
 		}
 	}
 	return gain
-}
-
-func (scalarKernel) AddColInto(inst *Instance, h int, dst []float64) {
-	denseAddColInto(inst, h, dst)
-}
-
-func (scalarKernel) SubColInto(inst *Instance, h int, dst []float64) {
-	denseSubColInto(inst, h, dst)
 }
 
 // denseAddColInto accumulates a dense column: dst[u] += µ(u, h). Adding

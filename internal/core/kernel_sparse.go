@@ -2,55 +2,40 @@ package core
 
 import "sort"
 
-// The sparse kernel: the Eq. 4 reference for instances whose interest matrix
-// is stored as per-column nonzero lists. It is not selectable by name — the
-// representation picks it (KernelAuto and the "scalar"/"blocked" selections
-// all resolve to it on a sparse instance, because it IS the scalar reference
-// for that layout and blocked tiles only exist for dense columns).
-
-// KernelSparse is the concrete Name() of the sparse kernel. Only dense
-// variants appear in the selection registry; this constant exists so callers
-// (stats surfaces, tests) can recognize what "auto" resolved to.
-const KernelSparse = "sparse"
-
-// sparseKernel scores through the instance's nonzero lists. Its per-scorer
-// state is the shard-offset table: off[e][i] is the index of the first
-// nonzero of candidate event e's column with user ≥ i·ShardUsers (and
-// off[e][nShards] = len(col.Users)). The parallel scoring engine always
-// calls ScoreRange on the fixed ShardUsers grid, so resolving a shard's
+// The sparse loop: the Eq. 4 reference for instances whose interest matrix
+// is stored as per-column nonzero lists.
+//
+// Its per-scorer state is the shard-offset table Scorer.off: off[e][i] is the
+// index of the first nonzero of candidate event e's column with user ≥
+// i·ShardUsers (and off[e][nShards] = len(col.Users)). The parallel scoring
+// engine always scores on the fixed ShardUsers grid, so resolving a shard's
 // [start, end) nonzero window becomes two table reads instead of a binary
-// search per call plus a `user < hi` re-check per iteration — the offsets
-// are computed once per (column, shard grid) at Scorer construction and
-// reused across every round of every solve on that scorer.
-type sparseKernel struct {
-	off [][]int
-}
+// search per call plus a `user < hi` re-check per iteration — the offsets are
+// computed once per (column, shard grid) at Scorer construction and reused
+// across every round of every solve on that scorer.
 
-// newSparseKernel builds the kernel, precomputing each candidate event
-// column's shard offsets in one O(nnz + shards) merge walk. During a warm
-// scorer rebuild (NewScorerFromDelta) the offsets of columns the mutation
-// did not touch are shared from the previous scorer's kernel: offsets are a
-// pure function of the column's user list, which is unchanged for clean
-// columns.
-func newSparseKernel(sc *Scorer) (Kernel, error) {
-	inst := sc.inst
-	k := &sparseKernel{off: make([][]int, inst.NumEvents())}
-	var prev *sparseKernel
-	if p, ok := sc.warmPrev.(*sparseKernel); ok && len(p.off) == len(k.off) {
-		prev = p
+// newShardOffsets builds the shard-offset table of a sparse instance (nil for
+// a dense one), one O(nnz + shards) merge walk per candidate event column.
+// During a warm scorer rebuild prev is the previous scorer's table and dirty
+// the candidate events the mutation touched: clean columns share prev's
+// offsets, which are a pure function of the column's unchanged user list.
+func newShardOffsets(inst *Instance, prev [][]int, dirty []int) [][]int {
+	if inst.sparse == nil {
+		return nil
 	}
-	var dirty []bool
-	if prev != nil {
-		dirty = markSet(sc.warmDirtyEvents, inst.NumEvents())
+	off := make([][]int, inst.NumEvents())
+	var isDirty []bool
+	if len(prev) == len(off) {
+		isDirty = markSet(dirty, len(off))
 	}
-	for e := range k.off {
-		if prev != nil && !dirty[e] {
-			k.off[e] = prev.off[e]
+	for e := range off {
+		if isDirty != nil && !isDirty[e] {
+			off[e] = prev[e]
 			continue
 		}
-		k.off[e] = buildShardOffsets(inst.sparse[e], inst.numUsers)
+		off[e] = buildShardOffsets(inst.sparse[e], inst.numUsers)
 	}
-	return k, nil
+	return off
 }
 
 // buildShardOffsets walks one column's ascending user list once, recording
@@ -72,10 +57,10 @@ func buildShardOffsets(col SparseCol, numUsers int) []int {
 // rangeOffsets resolves the nonzero window [start, end) of column e covering
 // users [lo, hi). Shard-grid-aligned bounds — the only ones the scoring
 // engine produces — are table lookups; arbitrary bounds (single-shard tests,
-// exotic callers) fall back to binary search, preserving the old contract
-// that ScoreRange accepts any range.
-func (k *sparseKernel) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int, int) {
-	off := k.off[e]
+// exotic callers) fall back to binary search, so ScoreUsers accepts any
+// range.
+func (sc *Scorer) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int, int) {
+	off := sc.off[e]
 	var start int
 	switch {
 	case lo <= 0:
@@ -97,12 +82,9 @@ func (k *sparseKernel) rangeOffsets(col SparseCol, e, lo, hi, numUsers int) (int
 	return start, end
 }
 
-func (*sparseKernel) Name() string { return KernelSparse }
-func (*sparseKernel) Exact() bool  { return true }
-
-// ScoreRange is scoreUserRange over a sparse interest column: it iterates
+// scoreSparseRange is scoreUserRange over a sparse interest column: it iterates
 // only the column's nonzeros inside [lo, hi), in ascending user order. The
-// result is bit-identical to the scalar dense kernel because every µ = 0
+// result is bit-identical to the scalar dense loop because every µ = 0
 // term there contributes exactly +0.0 to the accumulator:
 //
 //   - cases 1-2: m/(·+m+ε) is +0 for m = 0, and act·(+0) is +0;
@@ -115,10 +97,10 @@ func (*sparseKernel) Exact() bool  { return true }
 // which is what makes sparse and dense runs — and every worker count of the
 // internal/score engine, whose fixed ShardUsers shards call this through
 // ScoreUsers — report identical utilities and schedules.
-func (k *sparseKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) float64 {
+func (sc *Scorer) scoreSparseRange(s *Schedule, e, t, lo, hi int) float64 {
 	inst := sc.inst
 	col := inst.sparse[e]
-	start, end := k.rangeOffsets(col, e, lo, hi, inst.numUsers)
+	start, end := sc.rangeOffsets(col, e, lo, hi, inst.numUsers)
 	users := col.Users[start:end]
 	mus := col.Mu[start:end]
 	act := sc.scoreActivityCol(t)
@@ -156,14 +138,6 @@ func (k *sparseKernel) ScoreRange(sc *Scorer, s *Schedule, e, t, lo, hi int) flo
 		}
 	}
 	return gain
-}
-
-func (*sparseKernel) AddColInto(inst *Instance, h int, dst []float64) {
-	sparseAddColInto(inst, h, dst)
-}
-
-func (*sparseKernel) SubColInto(inst *Instance, h int, dst []float64) {
-	sparseSubColInto(inst, h, dst)
 }
 
 // sparseAddColInto accumulates a column's nonzeros: dst[u] += µ(u, h). The

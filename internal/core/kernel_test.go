@@ -1,116 +1,32 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// mustPanic asserts f panics.
-func mustPanic(t *testing.T, what string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	f()
-}
-
-// TestKernelRegistry: the built-in selection names are registered, unknown
-// names fail with an actionable error, and duplicate/empty registrations are
-// build errors (panics), not runtime conditions.
-func TestKernelRegistry(t *testing.T) {
-	names := KernelNames()
-	for _, want := range []string{KernelAuto, KernelScalar, KernelBlocked, KernelSIMD} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("KernelNames() = %v: missing %q", names, want)
-		}
-	}
-	if err := CheckKernel(""); err != nil {
-		t.Fatalf("empty selection (= auto) rejected: %v", err)
-	}
-	if err := CheckKernel(KernelAuto); err != nil {
-		t.Fatalf("auto rejected: %v", err)
-	}
-	if err := CheckKernel("no-such-kernel"); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
-		t.Fatalf("unknown name error = %v", err)
-	}
-	// The sparse kernel is representation-picked, never name-selectable.
-	if err := CheckKernel(KernelSparse); err == nil {
-		t.Fatal("sparse must not be a selection name")
-	}
-	mustPanic(t, "duplicate registration", func() { RegisterKernel(KernelAuto, newAutoKernel) })
-	mustPanic(t, "empty-name registration", func() { RegisterKernel("", newAutoKernel) })
-}
-
-// TestKernelSelection: what each selection name resolves to on each
-// representation, and that selection never silently substitutes — unknown
-// names and representation mismatches are construction errors.
+// TestKernelSelection: the instance representation picks the Eq. 4 loop on
+// every construction path — dense scorers carry no shard-offset table (the
+// dense loop), sparse ones carry one row per candidate event (the sparse
+// loop).
 func TestKernelSelection(t *testing.T) {
 	dense, sparse := buildPair(t, 21, 6, 4, 3, 50, 0.5)
-	cases := []struct {
-		sel  string
-		inst *Instance
-		want string
-	}{
-		{"", dense, KernelScalar},
-		{KernelAuto, dense, KernelScalar},
-		{KernelScalar, dense, KernelScalar},
-		{KernelBlocked, dense, KernelBlocked},
-		{"", sparse, KernelSparse},
-		{KernelAuto, sparse, KernelSparse},
-		{KernelScalar, sparse, KernelSparse},
-		{KernelBlocked, sparse, KernelSparse},
-	}
-	for _, c := range cases {
-		rep := "dense"
-		if c.inst.IsSparse() {
-			rep = "sparse"
-		}
-		sc, err := NewScorerWithOptions(c.inst, ScorerOptions{Kernel: c.sel})
+	costs := []float64{0, 0.25, 0.5, 0.75, 1, 1.25}
+	for _, inst := range []*Instance{dense, sparse} {
+		withOpts, err := NewScorerWithOptions(inst, ScorerOptions{EventCost: costs})
 		if err != nil {
-			t.Fatalf("%s kernel %q: %v", rep, c.sel, err)
+			t.Fatal(err)
 		}
-		if got := sc.KernelName(); got != c.want {
-			t.Errorf("%s kernel %q resolved to %q, want %q", rep, c.sel, got, c.want)
+		next, d := mutateChainStep(t, inst, 0)
+		warm, err := NewScorerFromDelta(withOpts, next, ScorerOptions{EventCost: costs}, d)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sc.Kernel().Exact() {
-			t.Errorf("%s kernel %q (%s) must be exact", rep, c.sel, sc.KernelName())
+		for name, sc := range map[string]*Scorer{"NewScorer": NewScorer(inst), "WithOptions": withOpts, "FromDelta": warm} {
+			switch {
+			case !inst.IsSparse() && sc.off != nil:
+				t.Errorf("dense %s scorer built a shard-offset table", name)
+			case inst.IsSparse() && len(sc.off) != inst.NumEvents():
+				t.Errorf("sparse %s scorer has %d offset rows, want %d", name, len(sc.off), inst.NumEvents())
+			}
 		}
-	}
-	if NewScorer(dense).KernelName() != KernelScalar {
-		t.Error("NewScorer on dense must resolve to scalar")
-	}
-	if NewScorer(sparse).KernelName() != KernelSparse {
-		t.Error("NewScorer on sparse must resolve to sparse")
-	}
-	if _, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: "no-such-kernel"}); err == nil {
-		t.Fatal("unknown kernel name accepted at scorer construction")
-	}
-
-	// SIMD: selectable in every build, available only under the sessimd tag
-	// on amd64 — and even then only for the dense representation.
-	if err := CheckKernel(KernelSIMD); err != nil {
-		if !strings.Contains(err.Error(), "sessimd") {
-			t.Fatalf("simd unavailability error must say how to enable it: %v", err)
-		}
-		return
-	}
-	sc, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: KernelSIMD})
-	if err != nil {
-		t.Fatalf("simd on dense: %v", err)
-	}
-	if sc.KernelName() != KernelSIMD || sc.Kernel().Exact() {
-		t.Fatalf("simd resolved to %q exact=%v, want simd/inexact", sc.KernelName(), sc.Kernel().Exact())
-	}
-	if _, err := NewScorerWithOptions(sparse, ScorerOptions{Kernel: KernelSIMD}); err == nil {
-		t.Fatal("simd on a sparse instance must fail, not substitute")
 	}
 }
 
@@ -127,8 +43,7 @@ func assertScorersBitIdentical(t *testing.T, ref, alt *Scorer, bounds []int) {
 		for e := 0; e < inst.NumEvents(); e++ {
 			for tt := 0; tt < inst.NumIntervals(); tt++ {
 				if a, b := ref.Score(sR, e, tt), alt.Score(sA, e, tt); a != b {
-					t.Fatalf("%s: Score(e=%d,t=%d): %s=%x vs %s=%x",
-						stage, e, tt, ref.KernelName(), a, alt.KernelName(), b)
+					t.Fatalf("%s: Score(e=%d,t=%d): %x vs %x", stage, e, tt, a, b)
 				}
 				for i := 0; i < len(bounds); i++ {
 					for j := i + 1; j < len(bounds); j++ {
@@ -167,43 +82,6 @@ func assertScorersBitIdentical(t *testing.T, ref, alt *Scorer, bounds []int) {
 	check("after-undo")
 }
 
-// TestBlockedKernelBitIdentical: the widened-tile kernel reproduces the
-// scalar reference bit for bit — across tile boundaries (|U| > blockedTile),
-// at misaligned shard bounds, and with the UserWeights/EventCost extensions
-// folded in.
-func TestBlockedKernelBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-tile instance allocates ~300k floats")
-	}
-	// 5000 users crosses one blockedTile (4096) boundary.
-	nU := blockedTile + 904
-	dense, _ := buildPair(t, 31, 6, 4, 3, nU, 0.6)
-	w := make([]float64, nU)
-	for u := range w {
-		w[u] = 0.5 + float64(u%4)*0.25
-	}
-	costs := []float64{0, 0.25, 0.5, 0.75, 1, 1.25}
-	for _, withOpts := range []bool{false, true} {
-		opts := ScorerOptions{}
-		if withOpts {
-			opts = ScorerOptions{UserWeights: w, EventCost: costs}
-		}
-		optsScalar, optsBlocked := opts, opts
-		optsScalar.Kernel = KernelScalar
-		optsBlocked.Kernel = KernelBlocked
-		ref, err := NewScorerWithOptions(dense, optsScalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk, err := NewScorerWithOptions(dense, optsBlocked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bounds straddle the tile boundary and include misaligned cuts.
-		assertScorersBitIdentical(t, ref, blk, []int{0, 1, 911, blockedTile - 1, blockedTile, blockedTile + 1, nU})
-	}
-}
-
 // TestSparseKernelShardOffsets: on a multi-shard instance (|U| spans three
 // ShardUsers shards) the precomputed offset table and its binary-search
 // fallback agree with the dense scalar reference at shard-aligned AND
@@ -219,12 +97,8 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 	sps := NewScorer(sparse)
 
 	// The offset table has one entry per shard boundary plus the tail.
-	k, ok := sps.Kernel().(*sparseKernel)
-	if !ok {
-		t.Fatalf("sparse scorer kernel is %T", sps.Kernel())
-	}
 	nShards := (nU + ShardUsers - 1) / ShardUsers
-	for e, off := range k.off {
+	for e, off := range sps.off {
 		if len(off) != nShards+1 {
 			t.Fatalf("off[%d] has %d entries, want %d", e, len(off), nShards+1)
 		}
@@ -245,13 +119,28 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 	}
 
 	// Aligned boundaries (table lookups), off-by-one neighbours and arbitrary
-	// interior cuts (binary-search fallback) all agree with dense scalar.
+	// interior cuts (binary-search fallback) all agree with dense scalar —
+	// also with the UserWeights/EventCost extensions folded in.
 	bounds := []int{0, 1, ShardUsers - 1, ShardUsers, ShardUsers + 1, 12345, 2 * ShardUsers, nU - 1, nU}
 	assertScorersBitIdentical(t, ref, sps, bounds)
+	w := make([]float64, nU)
+	for u := range w {
+		w[u] = 0.5 + float64(u%4)*0.25
+	}
+	opts := ScorerOptions{UserWeights: w, EventCost: []float64{0, 0.25, 0.5, 0.75}}
+	refW, err := NewScorerWithOptions(dense, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spsW, err := NewScorerWithOptions(sparse, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScorersBitIdentical(t, refW, spsW, bounds)
 
-	// The scoring engine's reduction contract: both kernels produce
+	// The scoring engine's reduction contract: both loops produce
 	// bit-identical shard partials, so reducing them in shard order yields
-	// bit-identical totals for any kernel and any worker count. (The shard
+	// bit-identical totals for either representation and any worker count. (The shard
 	// reduction is NOT compared against one full-range pass — summing
 	// independently rounded partials reassociates the addition, which is why
 	// the engine always reduces in fixed shards, sequentially or not.)
@@ -280,44 +169,11 @@ func TestSparseKernelShardOffsets(t *testing.T) {
 	}
 }
 
-// TestKernelWarmRebuild: NewScorerFromDelta with a forced kernel selection is
-// bit-identical to a cold build, reuses the previous kernel's per-column
-// state for clean columns (slice sharing), rebuilds dirty ones, and never
-// carries state across a kernel-selection change.
+// TestKernelWarmRebuild: NewScorerFromDelta on a sparse instance is
+// bit-identical to a cold build, shares the previous scorer's shard offsets
+// for clean columns and rebuilds the dirty ones.
 func TestKernelWarmRebuild(t *testing.T) {
-	dense, sparse := buildPair(t, 51, 7, 4, 3, 60, 0.4)
-
-	t.Run("blocked", func(t *testing.T) {
-		opts := ScorerOptions{Kernel: KernelBlocked}
-		prev, err := NewScorerWithOptions(dense, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, d := mutateChainStep(t, dense, 0)
-		cold, err := NewScorerWithOptions(next, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := NewScorerFromDelta(prev, next, opts, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.KernelName() != KernelBlocked {
-			t.Fatalf("warm kernel = %q", warm.KernelName())
-		}
-		sameScorerBits(t, cold, warm)
-		pk, wk := prev.Kernel().(*blockedKernel), warm.Kernel().(*blockedKernel)
-		dirty := markSet(d.Events, next.NumEvents())
-		for e := range wk.mu64 {
-			shared := &wk.mu64[e][0] == &pk.mu64[e][0]
-			if dirty[e] && shared {
-				t.Fatalf("dirty event %d shares its widened column", e)
-			}
-			if !dirty[e] && !shared {
-				t.Fatalf("clean event %d rebuilt its widened column", e)
-			}
-		}
-	})
+	_, sparse := buildPair(t, 51, 7, 4, 3, 60, 0.4)
 
 	t.Run("sparse", func(t *testing.T) {
 		prev := NewScorer(sparse)
@@ -327,14 +183,10 @@ func TestKernelWarmRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.KernelName() != KernelSparse {
-			t.Fatalf("warm kernel = %q", warm.KernelName())
-		}
 		sameScorerBits(t, cold, warm)
-		pk, wk := prev.Kernel().(*sparseKernel), warm.Kernel().(*sparseKernel)
 		dirty := markSet(d.Events, next.NumEvents())
-		for e := range wk.off {
-			shared := &wk.off[e][0] == &pk.off[e][0]
+		for e := range warm.off {
+			shared := &warm.off[e][0] == &prev.off[e][0]
 			if dirty[e] && shared {
 				t.Fatalf("dirty event %d shares its offset table", e)
 			}
@@ -342,26 +194,5 @@ func TestKernelWarmRebuild(t *testing.T) {
 				t.Fatalf("clean event %d rebuilt its offset table", e)
 			}
 		}
-	})
-
-	t.Run("selection-change-builds-cold", func(t *testing.T) {
-		prev, err := NewScorerWithOptions(dense, ScorerOptions{Kernel: KernelScalar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, d := mutateChainStep(t, dense, 1)
-		opts := ScorerOptions{Kernel: KernelBlocked}
-		cold, err := NewScorerWithOptions(next, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := NewScorerFromDelta(prev, next, opts, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.KernelName() != KernelBlocked {
-			t.Fatalf("warm kernel = %q after selection change", warm.KernelName())
-		}
-		sameScorerBits(t, cold, warm)
 	})
 }

@@ -22,41 +22,19 @@ type Scorer struct {
 	// cost, when non-nil, holds per-event organization costs subtracted
 	// from scores and utility (the profit-oriented variant).
 	cost []float64
-	// kern is the Eq. 4 kernel variant every scoring pass dispatches
-	// through (see kernel.go). It is built last in every constructor —
-	// kernel factories may precompute layout from compSum and the
-	// (possibly weighted) activity — and is immutable afterwards.
-	kern Kernel
-	// warmPrev/warmDirtyEvents/warmDirtyActs carry NewScorerFromDelta's
-	// reuse hints to the kernel factory during construction only: the
-	// previous scorer's kernel and the dirty candidate-event / activity-
-	// interval sets. They are cleared before the constructor returns.
-	warmPrev        Kernel
-	warmDirtyEvents []int
-	warmDirtyActs   []int
+	// off is the sparse loop's per-shard nonzero offset table (see
+	// kernel_sparse.go); nil on a dense instance, which is what makes
+	// scoreUserRange run the dense loop. Immutable after construction.
+	off [][]int
 }
 
 // NewScorer builds a scorer for the instance, precomputing the competing
-// interest sums. The kernel is KernelAuto: the representation's reference
-// variant.
+// interest sums (and, on a sparse instance, the shard offsets).
 func NewScorer(inst *Instance) *Scorer {
-	sc := newScorerBase(inst)
-	k, err := buildKernel(sc, KernelAuto)
-	if err != nil {
-		// Unreachable: the auto factory is always registered and the
-		// representation kernels never fail to build.
-		panic(err)
-	}
-	sc.kern = k
-	return sc
-}
-
-// newScorerBase runs the competing-sum precompute; the caller attaches the
-// kernel (after any option processing the kernel may depend on).
-func newScorerBase(inst *Instance) *Scorer {
 	sc := &Scorer{
 		inst:    inst,
 		compSum: make([][]float64, inst.NumIntervals()),
+		off:     newShardOffsets(inst, nil, nil),
 	}
 	base := len(inst.Events)
 	for ci, c := range inst.Competing {

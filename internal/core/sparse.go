@@ -22,9 +22,9 @@ import (
 // A sparse instance stores, per interest column (candidate events first,
 // then competing events), the nonzero (user, µ) pairs in ascending user
 // order. Everything else — the activity matrix, schedules, scorers — is
-// unchanged. Crucially, the sparse scoring kernel is bit-identical to the
-// dense ones: in every case of the Eq. 4 kernel a µ = 0 term contributes
-// exactly +0.0 to the accumulator (see sparseKernel.ScoreRange in
+// unchanged. Crucially, the sparse scoring loop is bit-identical to the
+// dense one: in every case of the Eq. 4 kernel a µ = 0 term contributes
+// exactly +0.0 to the accumulator (see Scorer.scoreSparseRange in
 // kernel_sparse.go), so skipping zeros while keeping the ascending user order
 // reproduces the dense sum bit for bit, at every worker count of the
 // internal/score engine.
@@ -213,7 +213,7 @@ func ParseRep(s string) (Rep, error) {
 // autoSparseMaxDensity is the densest interest matrix RepAuto still stores
 // sparse. A sparse entry costs 8 bytes against 4 per dense cell, so memory
 // breaks even at 50% density; below a quarter the sparse layout is at most
-// half the dense footprint and the kernels' indirection pays for itself.
+// half the dense footprint and the sparse loop's indirection pays for itself.
 const autoSparseMaxDensity = 0.25
 
 // densifyCheckEvery is how often (in users) the auto builder re-measures the
@@ -369,11 +369,10 @@ func (b *Builder) Build() (*Instance, error) {
 
 // addInterestColInto accumulates column h into dst: dst[u] += µ(u, h). It is
 // the shared primitive behind the scorer's competing-sum precompute and the
-// schedule's per-interval running interest sums — the accumulation half of
-// the kernel surface (Kernel.AddColInto wraps the same helpers). It lives on
-// the instance because Schedule.Assign has no Scorer in hand; the
-// representation picks the implementation, and every kernel variant funnels
-// into the same two helpers so accumulated sums are bit-identical everywhere.
+// schedule's per-interval running interest sums. It lives on the instance
+// because Schedule.Assign has no Scorer in hand; the representation picks
+// the implementation, and the two helpers are bit-identical, so accumulated
+// sums are the same on either representation.
 func (in *Instance) addInterestColInto(h int, dst []float64) {
 	if in.sparse != nil {
 		sparseAddColInto(in, h, dst)

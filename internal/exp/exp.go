@@ -104,10 +104,6 @@ type Options struct {
 	// that many workers (sesbench -parallel). Utilities and counters are
 	// bit-identical to sequential runs; only wall time changes.
 	Workers int
-	// Kernel selects the Eq. 4 kernel variant for every measurement
-	// (sesbench -kernel; "" = auto). Exact variants keep utilities and
-	// counters bit-identical; "simd" must stay out of gated figures.
-	Kernel string
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
 }
@@ -169,7 +165,7 @@ func runPoint(fig, ds, xname string, x int, k int, p dataset.Params, algos []str
 // O(|U|·|C|) precompute and the worker set are paid once per instance —
 // the same amortization sesd gets from its per-version engines.
 func runInstance(fig, ds, xname string, x int, k int, inst *core.Instance, algos []string, o Options) ([]Row, error) {
-	en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers, Kernel: o.Kernel})
+	en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -267,7 +267,7 @@ func Summary(o Options, trials int) (SummaryStats, []Row, error) {
 			if err != nil {
 				return st, nil, err
 			}
-			en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers, Kernel: o.Kernel})
+			en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers})
 			if err != nil {
 				return st, nil, err
 			}

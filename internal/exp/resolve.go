@@ -49,7 +49,7 @@ func FigResolve(o Options) ([]Row, error) {
 	)
 	users := o.Scale.Users(1_000_000)
 	algos := []string{"HOR-I", "TOP"}
-	opts := core.ScorerOptions{Workers: o.Workers, Kernel: o.Kernel}
+	opts := core.ScorerOptions{Workers: o.Workers}
 
 	cfg := dataset.DefaultConfig(k, users, dataset.Uniform, o.Seed)
 	cfg.NumEvents = events

@@ -44,7 +44,7 @@ func StackingStudy(o Options, scales []float64, trials int) ([]StackingPoint, er
 			if err != nil {
 				return nil, err
 			}
-			en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers, Kernel: o.Kernel})
+			en, err := score.New(inst, core.ScorerOptions{Workers: o.Workers})
 			if err != nil {
 				return nil, err
 			}

@@ -57,8 +57,8 @@ const (
 	// function of |U| alone, which is what makes parallel, sequential and
 	// single-worker scores bit-identical. 8192 float32 reads per shard is
 	// comfortably past the point where goroutine handoff (~1µs) is noise.
-	// The width is owned by core (kernels precompute per-shard state
-	// against this grid — the sparse kernel's nonzero offsets).
+	// The width is owned by core (the sparse loop precomputes its nonzero
+	// offsets per shard of this grid).
 	chunkUsers = core.ShardUsers
 
 	// singleParallelUsers is the minimum |U| before ONE evaluation fans its
@@ -113,9 +113,6 @@ type Engine struct {
 	workers int
 	tasks   chan func()
 	sink    *Sink
-	// kernelEvals is the sink's per-variant eval counter child bound to
-	// this engine's kernel name (nil when the sink is absent or unlabeled).
-	kernelEvals *metrics.Counter
 
 	closeOnce sync.Once
 
@@ -156,23 +153,12 @@ type Sink struct {
 	// observes each batch's wall time.
 	BatchCandidates *metrics.Histogram
 	BatchSeconds    *metrics.Histogram
-	// KernelEvals partitions computed Eq. 4 evaluations by the kernel
-	// variant that ran them (label: the scorer's concrete kernel name).
-	// Each engine binds its own child at SetSink time, so the per-variant
-	// split costs one pointer indirection, not a map lookup per eval.
-	KernelEvals *metrics.CounterVec
 }
 
 // SetSink attaches the shared telemetry sink. Call before the engine is
 // shared across goroutines (sesd sets it right after construction); a nil
 // sink keeps reporting off.
-func (en *Engine) SetSink(s *Sink) {
-	en.sink = s
-	en.kernelEvals = nil
-	if s != nil {
-		en.kernelEvals = s.KernelEvals.With(en.sc.KernelName())
-	}
-}
+func (en *Engine) SetSink(s *Sink) { en.sink = s }
 
 // New builds an engine for the instance, precomputing the dense per-interval
 // competition rows. opts.Workers sizes the worker set: ≤ 1 means sequential,
@@ -231,15 +217,7 @@ func NewFromPrevious(prev *Engine, inst *core.Instance, opts core.ScorerOptions,
 		return nil, err
 	}
 	en := newEngine(sc, inst, opts.Workers)
-	// The memo carries over only between engines running the SAME kernel
-	// variant: cached entries are that variant's bits, and an inexact
-	// variant's values (simd) must never be served as another's — nor may
-	// exact variants trade entries with it, even though exact variants
-	// agree bit for bit with each other, because "which kernel computed
-	// this number" is part of the cache's provenance contract.
-	if prev.sc.KernelName() == sc.KernelName() {
-		en.carryMemo(prev, d)
-	}
+	en.carryMemo(prev, d)
 	return en, nil
 }
 
@@ -279,11 +257,6 @@ func (en *Engine) Scorer() *core.Scorer { return en.sc }
 
 // Workers returns the effective worker count (1 = sequential).
 func (en *Engine) Workers() int { return en.workers }
-
-// KernelName returns the concrete name of the Eq. 4 kernel variant the
-// engine's scorer dispatches to ("scalar", "sparse", "blocked", "simd") —
-// what ScorerOptions.Kernel resolved to on this instance.
-func (en *Engine) KernelName() string { return en.sc.KernelName() }
 
 // Utility computes Ω(S) (Eq. 3). One pass per non-empty interval; never
 // parallelized, so it is the same bits in every mode.
@@ -328,7 +301,6 @@ func (en *Engine) Score(s *core.Schedule, e, t int) float64 {
 		en.evals.Add(1)
 		if sk := en.sink; sk != nil {
 			sk.Evals.Inc()
-			en.kernelEvals.Inc()
 		}
 		v = en.scoreShards(s, e, t)
 	}
@@ -353,7 +325,6 @@ func (en *Engine) scoreSharded(s *core.Schedule, e, t int) float64 {
 	if sk := en.sink; sk != nil {
 		sk.Fanouts.Inc()
 		sk.Evals.Inc()
-		en.kernelEvals.Inc()
 	}
 	nU := en.inst.NumUsers()
 	nShards := (nU + chunkUsers - 1) / chunkUsers
@@ -531,7 +502,6 @@ func (en *Engine) scoreBatchCompute(ctx context.Context, s *core.Schedule, cands
 	en.evals.Add(int64(len(cands)))
 	if sk := en.sink; sk != nil {
 		sk.Evals.Add(int64(len(cands)))
-		en.kernelEvals.Add(int64(len(cands)))
 	}
 	return nil
 }
@@ -542,13 +512,10 @@ func (en *Engine) scoreBatchCompute(ctx context.Context, s *core.Schedule, cands
 // set, so Fanouts ≪ Batches means the workload stayed under the parallel
 // thresholds.
 type Stats struct {
-	Workers int `json:"workers"`
-	// Kernel is the concrete Eq. 4 kernel variant this engine dispatches
-	// to (what ScorerOptions.Kernel resolved to on the instance).
-	Kernel  string `json:"kernel,omitempty"`
-	Evals   int64  `json:"evals"`
-	Batches int64  `json:"batches"`
-	Fanouts int64  `json:"fanouts"`
+	Workers int   `json:"workers"`
+	Evals   int64 `json:"evals"`
+	Batches int64 `json:"batches"`
+	Fanouts int64 `json:"fanouts"`
 	// GridHits counts evaluations served from the prefix memo: work a warm
 	// engine (or a later run on a shared one) skipped. Evals counts only
 	// computed passes, so a scheduler's reported ScoreEvals for one run
@@ -560,7 +527,6 @@ type Stats struct {
 func (en *Engine) Stat() Stats {
 	return Stats{
 		Workers:  en.workers,
-		Kernel:   en.sc.KernelName(),
 		Evals:    en.evals.Load(),
 		Batches:  en.batches.Load(),
 		Fanouts:  en.fanouts.Load(),

@@ -49,10 +49,6 @@ type engineEntry struct {
 type engineCache struct {
 	workers  int
 	capacity int
-	// kernel is the server-wide Eq. 4 kernel selection (sesd -kernel)
-	// imposed on every engine the cache builds, like workers. Validated at
-	// config time; "" means auto.
-	kernel string
 	// sink, when set (by the server before traffic), is attached to every
 	// engine this cache builds so batched scoring reports into the shared
 	// score metrics. Nil leaves engines uninstrumented.
@@ -74,11 +70,11 @@ type engineCache struct {
 	staleDrops atomic.Int64
 }
 
-func newEngineCache(workers, capacity int, kernel string) *engineCache {
+func newEngineCache(workers, capacity int) *engineCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &engineCache{workers: workers, capacity: capacity, kernel: kernel, m: make(map[engineKey]*engineEntry)}
+	return &engineCache{workers: workers, capacity: capacity, m: make(map[engineKey]*engineEntry)}
 }
 
 // setCurrent installs the live-version oracle consulted before caching a
@@ -104,7 +100,6 @@ func (ec *engineCache) setCurrent(fn func(name string) (uint64, bool)) {
 // cold build.
 func (ec *engineCache) acquire(key engineKey, inst *core.Instance, opts core.ScorerOptions) (en *score.Engine, release func(), reused bool, err error) {
 	opts.Workers = ec.workers
-	opts.Kernel = ec.kernel
 	ec.mu.Lock()
 	if e, ok := ec.m[key]; ok && !e.dead {
 		e.refs++
@@ -324,9 +319,6 @@ type EngineCacheStats struct {
 	// Workers is the per-engine worker count (sesd -parallel; 1 = sequential
 	// scoring).
 	Workers int `json:"workers"`
-	// Kernel is the server-wide Eq. 4 kernel selection (sesd -kernel;
-	// "auto" = representation default).
-	Kernel string `json:"kernel"`
 	// Engines is the number of currently cached engines.
 	Engines int `json:"engines"`
 	// Hits and Misses count acquire outcomes; a high hit rate means solves
@@ -365,17 +357,12 @@ func (ec *engineCache) stats() EngineCacheStats {
 	ec.mu.Lock()
 	n := len(ec.m)
 	workers := ec.workers
-	kernel := ec.kernel
 	ec.mu.Unlock()
 	if workers < 1 {
 		workers = 1
 	}
-	if kernel == "" {
-		kernel = core.KernelAuto
-	}
 	return EngineCacheStats{
 		Workers:    workers,
-		Kernel:     kernel,
 		Engines:    n,
 		Hits:       ec.hits.Load(),
 		Misses:     ec.misses.Load(),

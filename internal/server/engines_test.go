@@ -25,7 +25,7 @@ func engineTestInstance(t *testing.T) *core.Instance {
 // close evicted engines only after their last release.
 func TestEngineCacheShareEvictRelease(t *testing.T) {
 	inst := engineTestInstance(t)
-	ec := newEngineCache(2, 2, "")
+	ec := newEngineCache(2, 2)
 	defer ec.close()
 
 	k1 := engineKey{name: "a", version: 1}
@@ -84,7 +84,7 @@ func TestEngineCacheShareEvictRelease(t *testing.T) {
 // cannot crash, and nothing is cached.
 func TestEngineCacheCloseStragglers(t *testing.T) {
 	inst := engineTestInstance(t)
-	ec := newEngineCache(0, 4, "")
+	ec := newEngineCache(0, 4)
 	ec.close()
 	en, rel, _, err := ec.acquire(engineKey{name: "x", version: 1}, inst, core.ScorerOptions{})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
@@ -169,26 +168,11 @@ func (s *Server) initMetrics() {
 			"Wall time of one batched frontier-scoring call.", metrics.DurationBuckets),
 		GridHits: r.Counter("sesd_score_grid_hits_total",
 			"Eq. 4 scores served from an engine's prefix memo instead of recomputed."),
-		KernelEvals: r.CounterVec("sesd_score_kernel_evals_total",
-			"Eq. 4 evaluations partitioned by the kernel variant that computed them.",
-			"kernel"),
 	}
 	s.engines.sink = s.scoreSink
 	r.GaugeFunc("sesd_score_memo_cells",
 		"Score cells held by the prefix memos of cached engines (8 bytes each).",
 		func() float64 { return float64(s.engines.memoCells()) })
-	// Kernel identity: the server-wide -kernel selection as a one-hot info
-	// gauge, so dashboards can join per-variant series against what this
-	// process was configured to run.
-	kernelInfo := r.GaugeVec("sesd_kernel_info",
-		"Configured Eq. 4 kernel selection (constant 1 on the selected variant's label).",
-		"kernel")
-	selected := s.cfg.ScoreKernel
-	if selected == "" {
-		selected = core.KernelAuto
-	}
-	kernelInfo.With(selected).Set(1)
-
 	// Incremental re-solve (the subscribe path) and batch mutations.
 	r.CounterFunc("sesd_mutation_batches_total",
 		"Batch mutation requests applied (each is one version bump and one WAL record).",

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
@@ -49,12 +48,6 @@ type Config struct {
 	// ScoreEngines bounds the cache of per-instance-version scoring
 	// engines; default 8.
 	ScoreEngines int
-	// ScoreKernel selects the Eq. 4 kernel variant every engine dispatches
-	// to (sesd -kernel): "auto" (or empty, the default) lets the instance
-	// representation pick, "scalar"/"blocked" force an exact dense variant,
-	// "simd" the tolerance-bounded vector one. Unknown or compiled-out
-	// names fail construction.
-	ScoreKernel string
 	// DataDir, when non-empty, makes the service durable: every store
 	// mutation, completed solve and finished job is written ahead to a
 	// segmented WAL in this directory, compacted into snapshots, and
@@ -204,16 +197,13 @@ type Server struct {
 // to stop the worker pool (and seal the WAL).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if err := core.CheckKernel(cfg.ScoreKernel); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:     cfg,
 		store:   NewStore(),
 		pool:    NewPool(cfg.Workers, cfg.Queue),
 		cache:   NewCache(cfg.CacheSize),
 		jobs:    NewJobs(cfg.JobTTL),
-		engines: newEngineCache(cfg.ScoreWorkers, cfg.ScoreEngines, cfg.ScoreKernel),
+		engines: newEngineCache(cfg.ScoreWorkers, cfg.ScoreEngines),
 		subs:    newSubHub(),
 		mux:     http.NewServeMux(),
 		started: time.Now(),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -111,11 +112,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		ns := ms * float64(time.Millisecond)
+		// !(ns >= 0) also rejects NaN; the upper bound rejects +Inf and every
+		// value whose conversion to a Duration would overflow int64.
+		if err != nil || !(ns >= 0) || ns >= math.MaxInt64 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q", v))
 			return
 		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
+		minDur = time.Duration(ns)
 	}
 	limit := 64
 	if v := q.Get("limit"); v != "" {

@@ -150,6 +150,16 @@ func TestTracesListing(t *testing.T) {
 		t.Errorf("route filter returned %+v", only.Traces)
 	}
 	do(t, c, "GET", ts.URL+"/debug/traces?min_ms=abc", nil, http.StatusBadRequest, nil)
+	// ParseFloat accepts these, but none is a duration: NaN and ±Inf are not
+	// finite, and 1e300 ms (or anything ≥ 2^63 ns) overflows int64.
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e300", "9223372036855"} {
+		do(t, c, "GET", ts.URL+"/debug/traces?min_ms="+v, nil, http.StatusBadRequest, nil)
+	}
+	var none TraceListResponse
+	do(t, c, "GET", ts.URL+"/debug/traces?min_ms=9223372036854", nil, http.StatusOK, &none)
+	if len(none.Traces) != 0 {
+		t.Errorf("min_ms just under the int64 bound returned %d traces", len(none.Traces))
+	}
 	do(t, c, "GET", ts.URL+"/debug/traces?limit=0", nil, http.StatusBadRequest, nil)
 	do(t, c, "GET", ts.URL+"/debug/traces/00000000000000000000000000000000", nil, http.StatusNotFound, nil)
 }
