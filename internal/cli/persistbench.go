@@ -111,7 +111,7 @@ func benchStore(mode string, inst *core.Instance, puts, mutates int) (putTime, m
 	for i := 0; i < mutates; i++ {
 		if _, err := st.Mutate("inst-0", seio.MutateRequest{
 			Activity: []seio.CellUpdate{{User: i % inst.NumUsers(), Index: i % inst.NumIntervals(), Value: float64(i%10) / 10}},
-		}); err != nil {
+		}, nil); err != nil {
 			return 0, 0, err
 		}
 	}

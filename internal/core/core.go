@@ -12,11 +12,11 @@
 //
 // Interest values are stored event-major, either as a dense float32 matrix
 // or — for the highly sparse interest structure of the real datasets — as
-// per-event nonzero lists (see sparse.go); activity is a dense float32
-// matrix. Every score computation is one pass over an event's users (the
-// paper's "|U| computations per assignment score"), and the sparse loops
-// reproduce the dense float64 accumulation bit for bit while touching only
-// nonzeros.
+// per-event nonzero lists (see sparse.go); activity is one dense float32
+// column per interval. Every score computation is one pass over an event's
+// users (the paper's "|U| computations per assignment score"), and the
+// sparse loops reproduce the dense float64 accumulation bit for bit while
+// touching only nonzeros.
 package core
 
 import (
@@ -88,16 +88,21 @@ type Instance struct {
 	// sparse, when non-nil, replaces the dense interest matrix with
 	// per-column nonzero lists (see sparse.go); interest is then nil.
 	sparse []SparseCol
-	// activity holds |T| columns of numUsers values each:
-	// activity[t*numUsers + u] is σ(u, t). Activity stays dense in both
-	// representations: |T| is small (3k/2), so the σ matrix is a sliver of
-	// the dense interest footprint, and every Eq. 4 pass reads it anyway.
-	activity []float32
+	// activity holds |T| columns of numUsers values each: activity[t][u]
+	// is σ(u, t). Activity stays dense in both representations: |T| is
+	// small (3k/2), so the σ matrix is a sliver of the dense interest
+	// footprint, and every Eq. 4 pass reads it anyway. Columns are separate
+	// slices so copy-on-write can clone one interval at a time.
+	activity [][]float32
 
-	// sharedInterest / sharedActivity mark the matrices as shared with a
-	// copy-on-write Snapshot; the next mutation copies before writing.
-	sharedInterest bool
-	sharedActivity bool
+	// colSum[h] and actSum[t] cache the content hash of sparse column h and
+	// activity interval t for the sparse Digest (see digest.go). Both are
+	// nil on a dense instance.
+	colSum []*sumCell
+	actSum []*sumCell
+
+	// own is the storage this instance may write in place; see snapshot.go.
+	own *ownership
 }
 
 // NewInstance allocates an instance with zeroed interest and activity
@@ -107,15 +112,28 @@ func NewInstance(events []Event, intervals []Interval, competing []Competing, nu
 	if err := validateShape(events, intervals, competing, numUsers, theta); err != nil {
 		return nil, err
 	}
-	return &Instance{
+	in := &Instance{
 		Events:    events,
 		Intervals: intervals,
 		Competing: competing,
 		Theta:     theta,
 		numUsers:  numUsers,
 		interest:  make([]float32, numUsers*(len(events)+len(competing))),
-		activity:  make([]float32, numUsers*len(intervals)),
-	}, nil
+		activity:  splitColumns(make([]float32, numUsers*len(intervals)), numUsers),
+	}
+	in.ownAll()
+	return in, nil
+}
+
+// splitColumns slices an interval-major matrix into its numUsers-long
+// columns. Each column's capacity ends at its own length, so no column can
+// grow into its neighbour.
+func splitColumns(m []float32, numUsers int) [][]float32 {
+	cols := make([][]float32, len(m)/numUsers)
+	for t := range cols {
+		cols[t] = m[t*numUsers : (t+1)*numUsers : (t+1)*numUsers]
+	}
+	return cols
 }
 
 // validateShape checks the structural constructor arguments shared by the
@@ -175,7 +193,7 @@ func (in *Instance) interestAt(user, h int) float64 {
 
 // activityCol returns the contiguous user column of interval t.
 func (in *Instance) activityCol(t int) []float32 {
-	return in.activity[t*in.numUsers : (t+1)*in.numUsers]
+	return in.activity[t]
 }
 
 // Interest returns µ(u, e) for candidate event e. On a sparse instance the
@@ -192,13 +210,13 @@ func (in *Instance) CompetingInterest(user, comp int) float64 {
 // Activity returns σ(u, t), the social activity probability of user u
 // during interval t.
 func (in *Instance) Activity(user, interval int) float64 {
-	return float64(in.activity[interval*in.numUsers+user])
+	return float64(in.activity[interval][user])
 }
 
 // SetInterest sets µ(u, e) for candidate event e. Values outside [0,1] are an
 // instance-construction bug and are rejected by Validate, not here, to keep
-// the hot generator path cheap (the only per-call check is the predictable
-// copy-on-write ownership test).
+// the hot generator path cheap (the only per-call checks are the predictable
+// copy-on-write ownership tests).
 func (in *Instance) SetInterest(user, event int, v float64) {
 	in.setInterestAt(user, event, float32(v))
 }
@@ -209,20 +227,26 @@ func (in *Instance) SetCompetingInterest(user, comp int, v float64) {
 }
 
 // setInterestAt writes µ(u, h) in either representation. Sparse columns never
-// store explicit zeros: a zero write removes the entry.
+// store explicit zeros: a zero write removes the entry, and a zero write to
+// an absent entry changes nothing, so it neither clones nor re-hashes the
+// column.
 func (in *Instance) setInterestAt(user, h int, v float32) {
-	in.ownInterest()
 	if in.sparse != nil {
+		if _, ok := in.sparse[h].find(user); !ok && v == 0 {
+			return
+		}
+		in.ownColumn(h)
 		in.sparse[h].set(user, v)
 		return
 	}
+	in.ownInterest()
 	in.interest[h*in.numUsers+user] = v
 }
 
 // SetActivity sets σ(u, t).
 func (in *Instance) SetActivity(user, interval int, v float64) {
-	in.ownActivity()
-	in.activity[interval*in.numUsers+user] = float32(v)
+	in.ownInterval(interval)
+	in.activity[interval][user] = float32(v)
 }
 
 // SetInterestRow scatters user u's full interest row (|E| candidate-event
@@ -233,13 +257,13 @@ func (in *Instance) SetInterestRow(user int, row []float32) {
 	if len(row) != len(in.Events)+len(in.Competing) {
 		panic(fmt.Sprintf("core: interest row has %d values, want %d", len(row), len(in.Events)+len(in.Competing)))
 	}
-	in.ownInterest()
 	if in.sparse != nil {
 		for h, v := range row {
-			in.sparse[h].set(user, v)
+			in.setInterestAt(user, h, v)
 		}
 		return
 	}
+	in.ownInterest()
 	for h, v := range row {
 		in.interest[h*in.numUsers+user] = v
 	}
@@ -250,9 +274,9 @@ func (in *Instance) SetActivityRow(user int, row []float32) {
 	if len(row) != len(in.Intervals) {
 		panic(fmt.Sprintf("core: activity row has %d values, want %d", len(row), len(in.Intervals)))
 	}
-	in.ownActivity()
 	for t, v := range row {
-		in.activity[t*in.numUsers+user] = v
+		in.ownInterval(t)
+		in.activity[t][user] = v
 	}
 }
 
@@ -273,7 +297,7 @@ func (in *Instance) CopyInterestRow(user int, dst []float32) {
 // CopyActivityRow gathers user u's activity row into dst (length |T|).
 func (in *Instance) CopyActivityRow(user int, dst []float32) {
 	for t := range dst {
-		dst[t] = in.activity[t*in.numUsers+user]
+		dst[t] = in.activity[t][user]
 	}
 }
 
@@ -315,9 +339,11 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("core: interest value %v for user %d out of [0,1]", v, i%in.numUsers)
 		}
 	}
-	for i, v := range in.activity {
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("core: activity value %v for user %d out of [0,1]", v, i%in.numUsers)
+	for _, col := range in.activity {
+		for u, v := range col {
+			if !(v >= 0 && v <= 1) {
+				return fmt.Errorf("core: activity value %v for user %d out of [0,1]", v, u)
+			}
 		}
 	}
 	return in.ValidateStructure()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -106,9 +107,10 @@ func markSet(idx []int, n int) []bool {
 //     NewScorer's accumulation restricted to that interval, which adds the
 //     interval's competing columns in the same ascending-index order the
 //     cold build does.
-//   - with UserWeights, clean weighted-activity columns are copied from
-//     prev and dirty ones recomputed cell by cell; each cell is a single
-//     independent multiply, so per-column rebuild matches the cold build.
+//   - with UserWeights, clean intervals share prev's weighted-activity
+//     column and dirty ones are recomputed cell by cell; each cell is a
+//     single independent multiply, so per-column rebuild matches the cold
+//     build.
 //   - on a sparse instance, clean candidate events share prev's shard-offset
 //     slices and dirty ones rebuild theirs from the new user list.
 //
@@ -172,15 +174,9 @@ func NewScorerFromDelta(prev *Scorer, inst *Instance, opts ScorerOptions, d Scor
 	}
 
 	if opts.UserWeights != nil {
-		sc.act = make([]float32, len(inst.activity))
-		copy(sc.act, prev.act)
-		nU := inst.NumUsers()
+		sc.act = slices.Clone(prev.act)
 		for _, t := range d.ActIntervals {
-			src := inst.activityCol(t)
-			dst := sc.act[t*nU : (t+1)*nU]
-			for u := range dst {
-				dst[u] = src[u] * float32(opts.UserWeights[u])
-			}
+			sc.act[t] = weightedActivity(inst, t, opts.UserWeights)
 		}
 	}
 	return sc, nil

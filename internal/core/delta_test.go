@@ -60,9 +60,11 @@ func sameScorerBits(t *testing.T, cold, warm *Scorer) {
 	if (cold.act == nil) != (warm.act == nil) {
 		t.Fatalf("weighted activity nil-ness differs")
 	}
-	for i := range cold.act {
-		if cold.act[i] != warm.act[i] {
-			t.Fatalf("act[%d]: cold=%x warm=%x", i, cold.act[i], warm.act[i])
+	for tt := range cold.act {
+		for u := range cold.act[tt] {
+			if cold.act[tt][u] != warm.act[tt][u] {
+				t.Fatalf("act[%d][%d]: cold=%x warm=%x", tt, u, cold.act[tt][u], warm.act[tt][u])
+			}
 		}
 	}
 	// Probe Eq. 4 end to end: empty schedule, then a partially filled one.
@@ -98,7 +100,8 @@ func sameScorerBits(t *testing.T, cold, warm *Scorer) {
 // (interest, competing interest, activity, AddCompeting) over dense and
 // sparse instances, with and without ScorerOptions extensions, asserting at
 // every step that the delta-rebuilt scorer is bitwise-identical to a cold
-// build of the same snapshot.
+// build of the same snapshot, and that with UserWeights exactly the clean
+// intervals share the previous scorer's weighted-activity columns.
 func TestNewScorerFromDeltaBitIdentical(t *testing.T) {
 	dense, sparse := buildPair(t, 11, 7, 4, 5, 60, 0.4)
 	for name, inst := range map[string]*Instance{"dense": dense, "sparse": sparse} {
@@ -132,6 +135,16 @@ func TestNewScorerFromDeltaBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameScorerBits(t, cold, warm)
+					if withOpts {
+						// Clean intervals share the previous scorer's
+						// weighted-activity column; dirty ones are rebuilt.
+						dirty := markSet(d.ActIntervals, next.NumIntervals())
+						for tt := range warm.act {
+							if shared := &warm.act[tt][0] == &prev.act[tt][0]; shared == dirty[tt] {
+								t.Fatalf("step %d interval %d: shared=%v, dirty=%v", step, tt, shared, dirty[tt])
+							}
+						}
+					}
 					cur, prev = next, warm
 				}
 			})

@@ -71,19 +71,25 @@ func NewScorerWithOptions(inst *Instance, opts ScorerOptions) (*Scorer, error) {
 	sc := NewScorer(inst)
 	sc.cost = opts.EventCost
 	if opts.UserWeights != nil {
-		// Fold the weights into a scorer-private activity matrix so the
+		// Fold the weights into scorer-private activity columns so the
 		// hot loops stay identical: one multiply already paid at setup.
-		sc.act = make([]float32, len(inst.activity))
-		nU := inst.NumUsers()
-		for t := 0; t < inst.NumIntervals(); t++ {
-			src := inst.activityCol(t)
-			dst := sc.act[t*nU : (t+1)*nU]
-			for u := range dst {
-				dst[u] = src[u] * float32(opts.UserWeights[u])
-			}
+		sc.act = make([][]float32, inst.NumIntervals())
+		for t := range sc.act {
+			sc.act[t] = weightedActivity(inst, t, opts.UserWeights)
 		}
 	}
 	return sc, nil
+}
+
+// weightedActivity returns interval t's activity column scaled by the user
+// weights: σ(u, t)·w_u, one independent multiply per cell.
+func weightedActivity(inst *Instance, t int, weights []float64) []float32 {
+	src := inst.activityCol(t)
+	dst := make([]float32, len(src))
+	for u := range dst {
+		dst[u] = src[u] * float32(weights[u])
+	}
+	return dst
 }
 
 // eventCost returns the profit-variant cost of event e (0 when unset).
@@ -98,8 +104,7 @@ func (sc *Scorer) eventCost(e int) float64 {
 // score computations.
 func (sc *Scorer) scoreActivityCol(t int) []float32 {
 	if sc.act != nil {
-		nU := sc.inst.NumUsers()
-		return sc.act[t*nU : (t+1)*nU]
+		return sc.act[t]
 	}
 	return sc.inst.activityCol(t)
 }

@@ -16,9 +16,11 @@ type Scorer struct {
 	// compSum[t][u] = Σ_{c∈C_t} µ(u, c); nil for intervals with no
 	// competing events (treated as all zeros).
 	compSum [][]float64
-	// act, when non-nil, replaces the instance's activity matrix with a
-	// user-weighted copy (ScorerOptions.UserWeights).
-	act []float32
+	// act, when non-nil, replaces the instance's activity columns with
+	// user-weighted copies (ScorerOptions.UserWeights), one per interval.
+	// Columns are never written after construction, so a warm rebuild
+	// shares the clean ones.
+	act [][]float32
 	// cost, when non-nil, holds per-event organization costs subtracted
 	// from scores and utility (the profit-oriented variant).
 	cost []float64

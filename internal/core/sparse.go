@@ -21,7 +21,7 @@ import (
 //
 // A sparse instance stores, per interest column (candidate events first,
 // then competing events), the nonzero (user, µ) pairs in ascending user
-// order. Everything else — the activity matrix, schedules, scorers — is
+// order. Everything else — the activity columns, schedules, scorers — is
 // unchanged. Crucially, the sparse scoring loop is bit-identical to the
 // dense one: in every case of the Eq. 4 kernel a µ = 0 term contributes
 // exactly +0.0 to the accumulator (see Scorer.scoreSparseRange in
@@ -61,7 +61,8 @@ func (c SparseCol) get(user int) float32 {
 }
 
 // set updates µ(user), inserting, replacing or removing the entry so the
-// column never stores explicit zeros.
+// column never stores explicit zeros. It shifts in place, so the column's
+// arrays must not be shared with a snapshot (see Instance.ownColumn).
 func (c *SparseCol) set(user int, v float32) {
 	i, ok := c.find(user)
 	switch {
@@ -162,15 +163,25 @@ func NewInstanceSparse(events []Event, intervals []Interval, competing []Competi
 			return nil, err
 		}
 	}
-	return &Instance{
+	in := &Instance{
 		Events:    events,
 		Intervals: intervals,
 		Competing: competing,
 		Theta:     theta,
 		numUsers:  numUsers,
 		sparse:    cols,
-		activity:  make([]float32, numUsers*len(intervals)),
-	}, nil
+		activity:  splitColumns(make([]float32, numUsers*len(intervals)), numUsers),
+	}
+	in.initSparseSums()
+	in.ownAll()
+	return in, nil
+}
+
+// initSparseSums gives every column and interval of a new sparse instance an
+// empty hash cell.
+func (in *Instance) initSparseSums() {
+	in.colSum = newSumCells(len(in.sparse))
+	in.actSum = newSumCells(len(in.activity))
 }
 
 // Rep selects the interest-matrix representation of a built instance.
@@ -356,13 +367,15 @@ func (b *Builder) Build() (*Instance, error) {
 		Competing: b.competing,
 		Theta:     b.theta,
 		numUsers:  b.numUsers,
-		activity:  b.activity,
+		activity:  splitColumns(b.activity, b.numUsers),
 	}
 	if b.dense != nil {
 		in.interest = b.dense
 	} else {
 		in.sparse = b.cols
+		in.initSparseSums()
 	}
+	in.ownAll()
 	b.dense, b.cols, b.activity = nil, nil, nil // the instance owns them now
 	return in, nil
 }
@@ -402,10 +415,10 @@ func (in *Instance) ScaleCompetingInterest(scale float64) {
 	if scale < 0 {
 		panic("core: negative competing-interest scale")
 	}
-	in.ownInterest()
 	base := len(in.Events)
 	if in.sparse != nil {
 		for h := base; h < len(in.sparse); h++ {
+			in.ownColumn(h)
 			col := &in.sparse[h]
 			out := 0
 			for i := range col.Users {
@@ -422,6 +435,7 @@ func (in *Instance) ScaleCompetingInterest(scale float64) {
 		}
 		return
 	}
+	in.ownInterest()
 	for h := base; h < len(in.Events)+len(in.Competing); h++ {
 		col := in.interestCol(h)
 		for u, m := range col {

@@ -73,7 +73,7 @@ func TestConcurrentSolveAndMutate(t *testing.T) {
 			_, err := st.Mutate("x", seio.MutateRequest{
 				Activity: []seio.CellUpdate{{User: i % inst.NumUsers(), Index: i % inst.NumIntervals(), Value: float64(i%100) / 100}},
 				Interest: []seio.CellUpdate{{User: i % inst.NumUsers(), Index: i % inst.NumEvents(), Value: float64((i*7)%100) / 100}},
-			})
+			}, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -130,10 +130,18 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // handleMutate applies a batch of interest/activity/competing updates as one
 // new store version. In-flight solves keep their snapshot; the instance's
 // cached results are invalidated.
+//
+// Both write routes trace the same stages as direct children of the request
+// root, in order: decode, apply, digest, wal_append, publish, retire and
+// encode.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	tr := span.FromContext(r.Context())
+	sp := tr.Start("decode")
 	var req seio.MutateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	err := s.decodeBody(w, r, &req)
+	sp.End()
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -141,13 +149,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("empty mutation: nothing to apply"))
 		return
 	}
-	info, err := s.store.Mutate(name, req)
+	info, err := s.store.Mutate(name, req, tr)
 	if err != nil {
 		writeErr(w, storeErrCode(err), err)
 		return
 	}
+	sp = tr.Start("retire")
 	s.afterMutation(name, info, req)
+	sp.End()
+	sp = tr.Start("encode")
 	writeJSON(w, http.StatusOK, info)
+	sp.End()
 }
 
 // runPooled submits work to the solver pool and waits for it or for the

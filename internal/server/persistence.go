@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/seio"
 )
@@ -162,7 +163,7 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 			return fmt.Errorf("instance %q v%d: %w", p.Name, p.StoreVersion, err)
 		}
 		info, applied := s.store.restorePut(p.Name, inst, p.StoreVersion)
-		if applied && info.Digest != p.Digest {
+		if applied && !digestMatches(inst, info.Digest, p.Digest) {
 			return fmt.Errorf("instance %q v%d: recovered digest %s does not match logged %s",
 				p.Name, p.StoreVersion, info.Digest, p.Digest)
 		}
@@ -199,7 +200,7 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 			return fmt.Errorf("instance %q v%d: re-apply mutation: %w", m.Name, m.StoreVersion, err)
 		}
 		info, applied := s.store.restorePut(m.Name, next, m.StoreVersion)
-		if applied && info.Digest != m.Digest {
+		if applied && !digestMatches(next, info.Digest, m.Digest) {
 			return fmt.Errorf("instance %q v%d: replayed mutation digest %s does not match logged %s",
 				m.Name, m.StoreVersion, info.Digest, m.Digest)
 		}
@@ -212,6 +213,13 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 		s.cache.InvalidateInstance(rec.Delete.Name)
 	case seio.WALKindSolve:
 		v := rec.Solve
+		resp := v.Response
+		// The logged response embeds the instance info of its day; a
+		// record written before a digest change carries the old value.
+		// Serve the version's info as the store now reports it.
+		if _, info, err := s.store.Get(v.Name); err == nil && info.Version == v.StoreVersion {
+			resp.Instance = info
+		}
 		s.cache.Put(cacheKey{
 			name:      v.Name,
 			version:   v.StoreVersion,
@@ -219,7 +227,7 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 			k:         v.K,
 			seed:      v.Seed,
 			opts:      v.OptsFingerprint,
-		}, v.Response)
+		}, resp)
 	case seio.WALKindJob:
 		s.jobs.restore(rec.Job.Seq, rec.Job.Status, rec.Job.FinishedAtMS)
 	default:
@@ -228,6 +236,19 @@ func (s *Server) replayRecord(rec *seio.WALRecord) error {
 		return fmt.Errorf("unhandled wal record kind %q", rec.Kind)
 	}
 	return nil
+}
+
+// digestMatches reports whether a replayed instance matches the digest its
+// record logged; current is the instance's Digest. Sparse records written
+// before the per-column digest carry the full-stream v1 value. Computing it
+// is a full pass over the instance, so it happens only after current failed
+// to match, and replaying a log of current records never pays for it.
+func digestMatches(inst *core.Instance, current, logged string) bool {
+	if current == logged {
+		return true
+	}
+	v1, ok := inst.LegacySparseDigest()
+	return ok && v1 == logged
 }
 
 // compactLoop runs snapshot compactions kicked by walAppend's threshold.

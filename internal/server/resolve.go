@@ -95,8 +95,12 @@ func (s *Server) notifyMutation(name string) {
 // cell rejects the whole batch and the version does not move.
 func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	tr := span.FromContext(r.Context())
+	sp := tr.Start("decode")
 	var req seio.BatchMutateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	err := s.decodeBody(w, r, &req)
+	sp.End()
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -111,14 +115,18 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	merged := req.Merge()
-	info, err := s.store.Mutate(name, merged)
+	info, err := s.store.Mutate(name, merged, tr)
 	if err != nil {
 		writeErr(w, storeErrCode(err), err)
 		return
 	}
 	s.mutationBatches.Add(1)
+	sp = tr.Start("retire")
 	s.afterMutation(name, info, merged)
+	sp.End()
+	sp = tr.Start("encode")
 	writeJSON(w, http.StatusOK, seio.BatchMutateResponse{Instance: info, Applied: applied})
+	sp.End()
 }
 
 // resolveCurrent solves the instance's CURRENT version with the

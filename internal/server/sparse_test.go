@@ -183,7 +183,7 @@ func TestSparsePersistence(t *testing.T) {
 	// path on a sparse instance.
 	info2, err := s.store.Mutate("m", seio.MutateRequest{
 		Interest: []seio.CellUpdate{{User: 1, Index: 0, Value: 0.25}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/metrics/span"
 	"repro/internal/seio"
 )
 
@@ -249,9 +250,13 @@ func (st *Store) Get(name string) (*core.Instance, seio.InstanceInfo, error) {
 // instance and publishes it as the next version. In-flight readers keep
 // their snapshot; if validation (or the WAL) fails nothing is published. The
 // apply and digest run outside mu, so readers of any instance are never
-// blocked by a slow mutation. The WAL records the request itself — the
-// delta, not the matrices — and replay re-applies it, verifying the digest.
-func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo, error) {
+// blocked by a slow mutation. On a sparse instance both cost what the batch
+// touches: the successor clones only the columns and intervals it writes,
+// and the digest re-hashes only those. The WAL records the request itself —
+// the delta, not the matrices — and replay re-applies it, verifying the
+// digest. A non-nil trace gets one child span per stage (apply, digest,
+// wal_append, publish); a nil one costs no clock reads.
+func (st *Store) Mutate(name string, req seio.MutateRequest, tr *span.Trace) (seio.InstanceInfo, error) {
 	l := st.lockName(name)
 	defer st.unlockName(name, l)
 	st.mu.RLock()
@@ -260,14 +265,20 @@ func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo,
 	if !ok {
 		return seio.InstanceInfo{}, ErrNotFound
 	}
+	sp := tr.Start("apply")
 	next := v.inst.Snapshot()
-	if err := applyMutation(next, req); err != nil {
+	err := applyMutation(next, req)
+	sp.End()
+	if err != nil {
 		return seio.InstanceInfo{}, err
 	}
+	sp = tr.Start("digest")
 	nv := &versioned{inst: next, info: makeInfo(name, v.info.Version+1, next.Digest(), next)}
+	sp.End()
+	sp = tr.Start("wal_append")
 	st.pubMu.RLock()
 	defer st.pubMu.RUnlock()
-	if err := st.logWAL(&seio.WALRecord{
+	err = st.logWAL(&seio.WALRecord{
 		Version: seio.WALFormatVersion,
 		Kind:    seio.WALKindMutate,
 		Mutate: &seio.WALMutate{
@@ -276,10 +287,14 @@ func (st *Store) Mutate(name string, req seio.MutateRequest) (seio.InstanceInfo,
 			Digest:       nv.info.Digest,
 			Request:      req,
 		},
-	}); err != nil {
+	})
+	sp.End()
+	if err != nil {
 		return seio.InstanceInfo{}, err
 	}
+	sp = tr.Start("publish")
 	st.publish(name, nv)
+	sp.End()
 	return nv.info, nil
 }
 

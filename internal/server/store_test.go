@@ -30,7 +30,7 @@ func TestVersionSequenceSurvivesDelete(t *testing.T) {
 	}
 	if _, err := st.Mutate("a", seio.MutateRequest{
 		Activity: []seio.CellUpdate{{User: 0, Index: 0, Value: 0.5}},
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := st.Delete("a"); err != nil || !ok {
@@ -121,7 +121,7 @@ func TestWriteLockCleanup(t *testing.T) {
 		}
 		if _, err := st.Mutate(name, seio.MutateRequest{
 			Activity: []seio.CellUpdate{{User: 0, Index: 0, Value: 0.25}},
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if ok, err := st.Delete(name); err != nil || !ok {
