@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -198,5 +200,78 @@ func TestNewScorerFromDeltaRejects(t *testing.T) {
 	other, _ := buildPair(t, 5, 4, 3, 2, 11, 1)
 	if _, err := NewScorerFromDelta(sc, other, ScorerOptions{}, ScorerDelta{}); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// TestPlainScorerBitIdentical: the plain view of a weighted and costed
+// scorer — built cold, and built warm through a chain of NewScorerFromDelta
+// rebuilds — evaluates Utility and EventAttendance to the same bits as
+// NewScorer on the same snapshot, and a scorer without options is its own
+// plain view.
+func TestPlainScorerBitIdentical(t *testing.T) {
+	dense, sparse := buildPair(t, 23, 7, 4, 5, 60, 0.4)
+	for name, inst := range map[string]*Instance{"dense": dense, "sparse": sparse} {
+		t.Run(name, func(t *testing.T) {
+			w := make([]float64, inst.NumUsers())
+			for u := range w {
+				w[u] = 0.5 + float64(u%4)*0.25
+			}
+			costs := make([]float64, inst.NumEvents())
+			for e := range costs {
+				costs[e] = 0.1 + float64(e)*0.01
+			}
+			opts := ScorerOptions{UserWeights: w, EventCost: costs}
+			check := func(label string, sc *Scorer) {
+				t.Helper()
+				ref := NewScorer(sc.Instance())
+				if ref.Plain() != ref {
+					t.Fatalf("%s: a scorer without options is not its own plain view", label)
+				}
+				plain := sc.Plain()
+				if plain == sc {
+					t.Fatalf("%s: a weighted, costed scorer is its own plain view", label)
+				}
+				s := NewSchedule(sc.Instance())
+				for e := 0; e < sc.Instance().NumEvents() && s.Len() < 4; e++ {
+					for tt := 0; tt < sc.Instance().NumIntervals(); tt++ {
+						if s.Valid(e, tt) {
+							if err := s.Assign(e, tt); err != nil {
+								t.Fatal(err)
+							}
+							break
+						}
+					}
+				}
+				if s.Len() < 2 {
+					t.Fatalf("%s: probe schedule has %d assignments", label, s.Len())
+				}
+				if a, b := plain.Utility(s), ref.Utility(s); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%s: plain Utility %x, NewScorer %x", label, a, b)
+				}
+				if sc.Utility(s) == ref.Utility(s) {
+					t.Fatalf("%s: options did not change Utility; the probe proves nothing", label)
+				}
+				for _, a := range s.Assignments() {
+					x, y := plain.EventAttendance(s, a.Event), ref.EventAttendance(s, a.Event)
+					if math.Float64bits(x) != math.Float64bits(y) {
+						t.Fatalf("%s: plain EventAttendance(e%d) %x, NewScorer %x", label, a.Event, x, y)
+					}
+				}
+			}
+			cur := inst
+			sc, err := NewScorerWithOptions(cur, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("cold", sc)
+			for step := 0; step < 4; step++ {
+				next, d := mutateChainStep(t, cur, step)
+				if sc, err = NewScorerFromDelta(sc, next, opts, d); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("warm step %d", step), sc)
+				cur = next
+			}
+		})
 	}
 }

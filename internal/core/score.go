@@ -53,6 +53,19 @@ func NewScorer(inst *Instance) *Scorer {
 // Instance returns the instance the scorer was built for.
 func (sc *Scorer) Instance() *Instance { return sc.inst }
 
+// Plain returns the scorer without its ScorerOptions: the receiver itself
+// when it has none, otherwise a view that drops the weighted activity and
+// the costs and shares the rest. Its Utility and EventAttendance are
+// bit-identical to NewScorer(sc.Instance())'s, warm-built scorers included:
+// compSum and off never depend on options, are immutable after
+// construction, and NewScorerFromDelta rebuilds them bit for bit.
+func (sc *Scorer) Plain() *Scorer {
+	if sc.act == nil && sc.cost == nil {
+		return sc
+	}
+	return &Scorer{inst: sc.inst, compSum: sc.compSum, off: sc.off}
+}
+
 // CompetingSum returns Σ_{c∈C_t} µ(u, c).
 func (sc *Scorer) CompetingSum(user, interval int) float64 {
 	if sc.compSum[interval] == nil {

@@ -280,7 +280,17 @@ type AssignmentMsg struct {
 // utility plus per-assignment names and expected attendance.
 func NewScheduleMsg(inst *core.Instance, s *core.Schedule) ScheduleMsg {
 	sc := core.NewScorer(inst)
-	sj := ScheduleMsg{Version: FormatVersion, Utility: sc.Utility(s)}
+	return ScheduleMsgFrom(sc, s, sc.Utility(s))
+}
+
+// ScheduleMsgFrom builds the wire message of a schedule from an existing
+// plain scorer (no ScorerOptions; see core.Scorer.Plain) and the schedule's
+// already computed utility, which must be sc.Utility(s). It evaluates only
+// the per-assignment expected attendance, so a caller that holds the scorer
+// and the utility of a solve pays no precompute and no second utility pass.
+func ScheduleMsgFrom(sc *core.Scorer, s *core.Schedule, utility float64) ScheduleMsg {
+	inst := sc.Instance()
+	sj := ScheduleMsg{Version: FormatVersion, Utility: utility}
 	for _, a := range s.Assignments() {
 		sj.Assignments = append(sj.Assignments, AssignmentMsg{
 			Event:     a.Event,

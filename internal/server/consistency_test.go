@@ -1,13 +1,23 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
+	ses "repro"
 	"repro/internal/algo"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/score"
 	"repro/internal/seio"
 )
@@ -116,5 +126,288 @@ func TestVersionedCacheConsistency(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sameMsgBits fails unless got is bit for bit the message seio.NewScheduleMsg
+// builds, with a cold scorer, for got's own schedule on inst.
+func sameMsgBits(t *testing.T, label string, inst *core.Instance, got seio.ScheduleMsg) {
+	t.Helper()
+	s, err := got.Replay(inst)
+	if err != nil {
+		t.Fatalf("%s: replay: %v", label, err)
+	}
+	if s.Len() == 0 {
+		t.Fatalf("%s: empty schedule", label)
+	}
+	ref := seio.NewScheduleMsg(inst, s)
+	if got.Version != ref.Version || math.Float64bits(got.Utility) != math.Float64bits(ref.Utility) {
+		t.Errorf("%s: version %d utility %x, want version %d utility %x",
+			label, got.Version, got.Utility, ref.Version, ref.Utility)
+	}
+	if len(got.Assignments) != len(ref.Assignments) {
+		t.Fatalf("%s: %d assignments, want %d", label, len(got.Assignments), len(ref.Assignments))
+	}
+	for i, a := range got.Assignments {
+		r := ref.Assignments[i]
+		if a.Event != r.Event || a.Interval != r.Interval || a.EventName != r.EventName || a.AtName != r.AtName ||
+			math.Float64bits(a.Expected) != math.Float64bits(r.Expected) {
+			t.Errorf("%s: assignment %d = %+v (expected %x), want %+v (expected %x)",
+				label, i, a, a.Expected, r, r.Expected)
+		}
+	}
+}
+
+// TestResponsePathsBitIdentical: every response path builds its schedule
+// message from the engine that solved it — cold, warm after a PATCH or a
+// batch, weighted, costed — and each message must equal, bit for bit,
+// seio.NewScheduleMsg on the instance document the server serves at that
+// version: plain, weighted and costed solves, an extend, sweep job cells, the
+// cold first subscribe push and the warm pushes that follow mutations.
+func TestResponsePathsBitIdentical(t *testing.T) {
+	sparseDoc, denseDoc := sparseUpload(t, 120, 29)
+	muts := []struct {
+		path string
+		body any
+	}{
+		{"/instances/x", seio.MutateRequest{
+			Interest: []seio.CellUpdate{{User: 3, Index: 0, Value: 0.8}},
+			Activity: []seio.CellUpdate{{User: 5, Index: 1, Value: 0.6}}}},
+		{"/instances/x/mutations", seio.BatchMutateRequest{Mutations: []seio.MutateRequest{
+			{Interest: []seio.CellUpdate{{User: 7, Index: 2, Value: 0.1}}},
+			{Activity: []seio.CellUpdate{{User: 2, Index: 0, Value: 0.9}}},
+		}}},
+	}
+	for _, tc := range []struct {
+		label string
+		doc   []byte
+	}{{"dense", denseDoc}, {"sparse", sparseDoc}} {
+		for _, workers := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.label, workers), func(t *testing.T) {
+				srv, ts := newTestServer(t, Config{Workers: 2, Queue: 16, ScoreWorkers: workers})
+				c := ts.Client()
+				var info seio.InstanceInfo
+				do(t, c, "PUT", ts.URL+"/instances/x", tc.doc, http.StatusCreated, &info)
+				weights := make([]float64, info.Users)
+				for u := range weights {
+					weights[u] = 0.5 + float64(u%3)*0.25
+				}
+				costs := make([]float64, info.Events)
+				for e := range costs {
+					costs[e] = 0.05 * float64(e+1)
+				}
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/instances/x/subscribe?algorithm=HOR-I&k=2", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream, err := c.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stream.Body.Close()
+				sc := bufio.NewScanner(stream.Body)
+
+				for step := 0; step <= len(muts); step++ {
+					if step > 0 {
+						m := muts[step-1]
+						method := "PATCH"
+						if m.path != "/instances/x" {
+							method = "POST"
+						}
+						do(t, c, method, ts.URL+m.path, jsonBody(t, m.body), http.StatusOK, nil)
+					}
+					version := uint64(step + 1)
+					ev := readSSE(t, sc)
+					var push seio.ResolveEvent
+					if err := json.Unmarshal(ev.data, &push); err != nil || ev.name != "resolve" {
+						t.Fatalf("step %d: event %q: %v", step, ev.name, err)
+					}
+					if push.Instance.Version != version || push.Warm != (step > 0) {
+						t.Fatalf("step %d: push at version %d warm=%v, want version %d warm=%v",
+							step, push.Instance.Version, push.Warm, version, step > 0)
+					}
+
+					resp, err := c.Get(ts.URL + "/instances/x")
+					if err != nil {
+						t.Fatal(err)
+					}
+					inst, err := seio.ReadInstance(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := func(what string) string { return fmt.Sprintf("v%d %s", version, what) }
+					sameMsgBits(t, label("push"), inst, push.Schedule)
+
+					var base []seio.AssignmentMsg
+					for what, body := range map[string]seio.SolveRequest{
+						"solve":          {Algorithm: "HOR-I", K: 3},
+						"solve ALG":      {Algorithm: "ALG", K: 3},
+						"weighted solve": {Algorithm: "HOR-I", K: 3, UserWeights: weights},
+						"costed solve":   {Algorithm: "INC", K: 3, EventCosts: costs},
+					} {
+						var sr seio.SolveResponse
+						do(t, c, "POST", ts.URL+"/instances/x/solve", jsonBody(t, body), http.StatusOK, &sr)
+						if sr.Cached || sr.Instance.Version != version {
+							t.Fatalf("%s: cached=%v at version %d", label(what), sr.Cached, sr.Instance.Version)
+						}
+						sameMsgBits(t, label(what), inst, sr.Schedule)
+						base = sr.Schedule.Assignments[:1]
+					}
+					for what, w := range map[string][]float64{"extend": nil, "weighted extend": weights} {
+						var ext seio.SolveResponse
+						do(t, c, "POST", ts.URL+"/instances/x/extend",
+							jsonBody(t, seio.ExtendRequest{Base: base, Extra: 2, UserWeights: w}), http.StatusOK, &ext)
+						sameMsgBits(t, label(what), inst, ext.Schedule)
+					}
+
+					var st seio.JobStatusMsg
+					do(t, c, "POST", ts.URL+"/instances/x/jobs", jsonBody(t, seio.JobRequest{
+						Algorithms: []string{"HOR", "HOR-I"}, Ks: []int{4},
+					}), http.StatusAccepted, &st)
+					st = pollJob(t, c, ts.URL, st.ID, 30*time.Second)
+					if st.Status != seio.JobDone || st.Counts.Done != 2 {
+						t.Fatalf("%s: job %s counts %+v", label("job"), st.Status, st.Counts)
+					}
+					for _, cell := range st.Cells {
+						if cell.Result == nil || cell.Result.Cached {
+							t.Fatalf("%s: cell %s k=%d has no fresh result", label("job"), cell.Algorithm, cell.K)
+						}
+						sameMsgBits(t, label("job cell "+cell.Algorithm), inst, cell.Result.Schedule)
+					}
+				}
+				if srv.engines.warmBuilds.Load() == 0 {
+					t.Error("mutation chain never exercised the warm-rebuild path")
+				}
+			})
+		}
+	}
+}
+
+// TestSummarizeEvaluatesOnce: POST /summarize evaluates the schedule once and
+// renders its text from that evaluation, so Text and Schedule agree; the body
+// is byte-identical to the response assembled from an independent cold
+// evaluation, the way the handler built it with one scorer per field.
+func TestSummarizeEvaluatesOnce(t *testing.T) {
+	sparseDoc, denseDoc := sparseUpload(t, 90, 31)
+	for label, doc := range map[string][]byte{"dense": denseDoc, "sparse": sparseDoc} {
+		t.Run(label, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 2, Queue: 8})
+			c := ts.Client()
+			var info seio.InstanceInfo
+			do(t, c, "PUT", ts.URL+"/instances/x", doc, http.StatusCreated, &info)
+			var sr seio.SolveResponse
+			do(t, c, "POST", ts.URL+"/instances/x/solve", jsonBody(t, seio.SolveRequest{K: 3}), http.StatusOK, &sr)
+			resp, err := c.Post(ts.URL+"/instances/x/summarize", "application/json",
+				bytes.NewReader(jsonBody(t, seio.SummarizeRequest{Schedule: sr.Schedule.Assignments})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("summarize: status %d: %v", resp.StatusCode, err)
+			}
+			var sum seio.SummarizeResponse
+			if err := json.Unmarshal(got, &sum); err != nil {
+				t.Fatal(err)
+			}
+			if text := ses.NewReport(sum.Schedule).String(); sum.Text != text {
+				t.Errorf("text disagrees with the schedule:\n%s\nwant\n%s", sum.Text, text)
+			}
+
+			inst, err := seio.ReadInstance(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sr.Schedule.Replay(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := core.NewScorer(inst)
+			want := seio.SummarizeResponse{
+				Instance: info,
+				Schedule: seio.ScheduleMsg{Version: seio.FormatVersion, Utility: sc.Utility(s)},
+			}
+			rep := ses.Report{Utility: sc.Utility(s)}
+			for _, a := range s.Assignments() {
+				am := seio.AssignmentMsg{
+					Event:     a.Event,
+					EventName: inst.Events[a.Event].Name,
+					Interval:  a.Interval,
+					AtName:    inst.Intervals[a.Interval].Name,
+					Expected:  sc.EventAttendance(s, a.Event),
+				}
+				want.Schedule.Assignments = append(want.Schedule.Assignments, am)
+				rep.Events = append(rep.Events, ses.EventReport{
+					Event: am.Event, Name: am.EventName, Interval: am.Interval, At: am.AtName, Expected: am.Expected,
+				})
+			}
+			want.Text = rep.String()
+			rec := httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, want)
+			if !bytes.Equal(got, rec.Body.Bytes()) {
+				t.Errorf("summarize body differs from the cold evaluation:\n%s\nwant\n%s", got, rec.Body.Bytes())
+			}
+		})
+	}
+}
+
+// TestScheduleMsgAllocations: building a response from a warm engine's scorer
+// on a 20k-user sparse instance allocates less than one |U|-long float64
+// slice — no competing sums, shard offsets or utility buffers are rebuilt —
+// while the cold seio.NewScheduleMsg it replaces allocates more than that.
+func TestScheduleMsgAllocations(t *testing.T) {
+	const users = 20000
+	cfg := dataset.DefaultConfig(4, users, dataset.Uniform, 37)
+	cfg.Density = 0.05
+	cfg.Rep = core.RepSparse
+	inst, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := score.New(inst, core.ScorerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	next := inst.Snapshot()
+	next.SetInterest(11, 1, 0.7)
+	en, err := score.NewFromPrevious(cold, next, core.ScorerOptions{}, core.ScorerDelta{Events: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	sched, err := algo.NewWithEngine("HOR-I", 0, en)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sched.ScheduleCtx(context.Background(), next, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(build func() seio.ScheduleMsg) (uint64, seio.ScheduleMsg) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		msg := build()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, msg
+	}
+	warmBytes, msg := allocated(func() seio.ScheduleMsg { return scheduleMsg(en, res) })
+	coldBytes, ref := allocated(func() seio.ScheduleMsg { return seio.NewScheduleMsg(next, res.Schedule) })
+	sameMsgBits(t, "warm engine message", next, msg)
+	if math.Float64bits(msg.Utility) != math.Float64bits(ref.Utility) {
+		t.Fatalf("utility %x, cold %x", msg.Utility, ref.Utility)
+	}
+	t.Logf("message from the warm engine: %d B; cold NewScheduleMsg: %d B", warmBytes, coldBytes)
+	if limit := uint64(users * 8); warmBytes >= limit {
+		t.Errorf("message from the warm engine allocated %d B, want < %d B (|U|×8)", warmBytes, limit)
+	}
+	if coldBytes < uint64(users*8) {
+		t.Errorf("cold NewScheduleMsg allocated only %d B; the guard cannot tell the two apart", coldBytes)
 	}
 }

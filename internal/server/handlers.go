@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
+	"repro/internal/score"
 	"repro/internal/seio"
 	"repro/internal/sim"
 )
@@ -288,7 +289,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.examined.Add(res.Examined)
 		bookSelect(tr, res.Elapsed)
 		enc := tr.Start("encode")
-		msg := seio.NewScheduleMsg(inst, res.Schedule)
+		msg := scheduleMsg(en, res)
 		enc.End()
 		resp = seio.SolveResponse{
 			Instance:   info,
@@ -328,6 +329,22 @@ func bookSelect(tr *span.Trace, solveElapsed time.Duration) {
 		selectD = 0
 	}
 	tr.Add("select", selectD)
+}
+
+// scheduleMsg builds a solved schedule's wire message from the engine that
+// produced it — the one response encoding of solve, extend, subscribe pushes
+// and sweep cells. Messages report the plain Eq. 2/Eq. 3 values, so it
+// evaluates on the engine scorer's plain view and reuses the solve's utility
+// (algo.Result.Utility is en.Utility) whenever that view is the scorer
+// itself; only a weighted or costed engine pays a plain Utility pass.
+func scheduleMsg(en *score.Engine, res *algo.Result) seio.ScheduleMsg {
+	sc := en.Scorer()
+	plain := sc.Plain()
+	utility := res.Utility
+	if plain != sc {
+		utility = plain.Utility(res.Schedule)
+	}
+	return seio.ScheduleMsgFrom(plain, res.Schedule, utility)
 }
 
 // stageBreakdown renders a solve's trace as the response's stage list:
@@ -400,7 +417,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		s.examined.Add(res.Examined)
 		bookSelect(tr, res.Elapsed)
 		enc := tr.Start("encode")
-		msg := seio.NewScheduleMsg(inst, res.Schedule)
+		msg := scheduleMsg(en, res)
 		enc.End()
 		resp = seio.SolveResponse{
 			Instance:   info,
@@ -501,9 +518,10 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	msg := seio.NewScheduleMsg(inst, schedule)
 	writeJSON(w, http.StatusOK, seio.SummarizeResponse{
 		Instance: info,
-		Schedule: seio.NewScheduleMsg(inst, schedule),
-		Text:     ses.Summarize(inst, schedule).String(),
+		Schedule: msg,
+		Text:     ses.NewReport(msg).String(),
 	})
 }

@@ -691,7 +691,7 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	s.examined.Add(res.Examined)
 	bookSelect(tr, res.Elapsed)
 	enc := tr.Start("encode")
-	msg := seio.NewScheduleMsg(j.inst, res.Schedule)
+	msg := scheduleMsg(en, res)
 	enc.End()
 	resp := seio.SolveResponse{
 		Instance:   j.info,
@@ -702,8 +702,10 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 		Examined:   res.Examined,
 		ElapsedMS:  seio.DurationMS(res.Elapsed),
 	}
+	wal := tr.Start("wal_append")
 	s.cache.Put(key, resp)
 	s.appendSolveRecord(key, resp)
+	wal.End()
 	j.finishCell(c, seio.CellDone, resp, nil)
 }
 

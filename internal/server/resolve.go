@@ -205,19 +205,24 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 		s.scoreEvals.Add(res.ScoreEvals)
 		s.examined.Add(res.Examined)
 		bookSelect(tr, res.Elapsed)
+		enc := tr.Start("encode")
+		msg := scheduleMsg(en, res)
+		enc.End()
 		resp = seio.SolveResponse{
 			Instance:   info,
 			Algorithm:  algorithm,
 			K:          k,
-			Schedule:   seio.NewScheduleMsg(inst, res.Schedule),
+			Schedule:   msg,
 			ScoreEvals: res.ScoreEvals,
 			Examined:   res.Examined,
 			ElapsedMS:  seio.DurationMS(res.Elapsed),
 		}
 		// A warm solve is bit-identical to a cold one, so the result is a
 		// first-class citizen of the result cache and the solve WAL.
+		wal := tr.Start("wal_append")
 		s.cache.Put(key, resp)
 		s.appendSolveRecord(key, resp)
+		wal.End()
 	})
 	if err != nil {
 		return seio.SolveResponse{}, false, err

@@ -263,16 +263,23 @@ type Report struct {
 }
 
 // Summarize builds a Report for the schedule.
-func Summarize(inst *Instance, s *Schedule) Report {
-	sc := core.NewScorer(inst)
-	rep := Report{Utility: sc.Utility(s)}
-	for _, a := range s.Assignments() {
+func Summarize(inst *Instance, s *Schedule) Report { return NewReport(seio.NewScheduleMsg(inst, s)) }
+
+// ScheduleMsg is the evaluated wire form of a schedule: what WriteSchedule
+// writes and the sesd service returns.
+type ScheduleMsg = seio.ScheduleMsg
+
+// NewReport renders an already evaluated schedule as a Report without
+// evaluating it again.
+func NewReport(msg ScheduleMsg) Report {
+	rep := Report{Utility: msg.Utility}
+	for _, a := range msg.Assignments {
 		rep.Events = append(rep.Events, EventReport{
 			Event:    a.Event,
-			Name:     inst.Events[a.Event].Name,
+			Name:     a.EventName,
 			Interval: a.Interval,
-			At:       inst.Intervals[a.Interval].Name,
-			Expected: sc.EventAttendance(s, a.Event),
+			At:       a.AtName,
+			Expected: a.Expected,
 		})
 	}
 	return rep
