@@ -16,7 +16,7 @@
 //	POST   /instances/{name}/jobs       submit an async algorithm × k sweep job
 //	GET    /jobs, GET /jobs/{id}        list jobs / poll one (partial results)
 //	DELETE /jobs/{id}                   cancel a job (running cells stop mid-solve)
-//	GET    /healthz, GET /stats         readiness (503 during WAL replay) and service counters
+//	GET    /healthz, GET /stats         readiness (503 during WAL replay); the metrics as flat JSON
 //
 // With -data-dir the service is durable: every mutation, completed solve and
 // finished job is written ahead to a segmented CRC-checksummed WAL, rolled

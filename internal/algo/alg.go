@@ -42,8 +42,7 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	if k <= 0 {
 		return nil, ErrBadK
 	}
-	g := newGuard(ctx, k)
-	if err := g.point(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -52,22 +51,47 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		return nil, err
 	}
 	defer release()
-	s := core.NewSchedule(inst)
+	return greedy(ctx, en, core.NewSchedule(inst), k, start)
+}
+
+// greedy runs ALG's select/update loop on s until it holds target
+// assignments or no valid assignment remains, leaving s's existing
+// assignments in place. ALG starts it from an empty schedule; Extend from a
+// copy of its base. Progress reports selections made by this run out of
+// target − s.Len().
+func greedy(ctx context.Context, en *score.Engine, s *core.Schedule, target int, start time.Time) (*Result, error) {
+	base := s.Len()
+	g := newGuard(ctx, target-base)
+	if err := g.point(); err != nil {
+		return nil, err
+	}
 	var c Counters
 
-	nE, nT := inst.NumEvents(), inst.NumIntervals()
-	// Initial frontier: every (event, interval) pair, scored in one batch.
-	// The candidate order matches the score matrix layout, so the batch
-	// writes the matrix directly.
+	nE, nT := en.Instance().NumEvents(), en.Instance().NumIntervals()
+	// Initial frontier: every interval of every still-unassigned event,
+	// scored in one batch. With nothing assigned the candidate order is the
+	// score matrix layout, so the batch writes the matrix directly.
 	scores := make([]float64, nE*nT)
 	cands := make([]score.Candidate, 0, nE*nT)
 	for e := 0; e < nE; e++ {
+		if _, assigned := s.AssignedInterval(e); assigned {
+			continue
+		}
 		for t := 0; t < nT; t++ {
 			cands = append(cands, score.Candidate{Event: e, Interval: t})
 		}
 	}
-	if err := en.ScoreBatch(g.ctx, s, cands, scores); err != nil {
+	vals := scores
+	if len(cands) < len(scores) {
+		vals = make([]float64, len(cands))
+	}
+	if err := en.ScoreBatch(g.ctx, s, cands, vals); err != nil {
 		return nil, err
+	}
+	if len(cands) < len(scores) {
+		for i, cd := range cands {
+			scores[cd.Event*nT+cd.Interval] = vals[i]
+		}
 	}
 	c.ScoreEvals += int64(len(cands))
 	if err := g.batch(len(cands)); err != nil {
@@ -75,7 +99,7 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	}
 
 	updVals := make([]float64, nE)
-	for s.Len() < k {
+	for s.Len() < target {
 		if err := g.point(); err != nil {
 			return nil, err
 		}
@@ -103,10 +127,10 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		if err := s.Assign(int(bestE), bestT); err != nil {
 			return nil, err
 		}
-		if err := g.selected(s.Len()); err != nil {
+		if err := g.selected(s.Len() - base); err != nil {
 			return nil, err
 		}
-		if s.Len() >= k {
+		if s.Len() >= target {
 			break // no selection follows, so no update is needed
 		}
 		// Update: recompute every available assignment of the selected

@@ -678,9 +678,10 @@ func TestCostChangesSelection(t *testing.T) {
 	}
 }
 
-// Extend from an empty schedule must reproduce ALG exactly, and extending a
-// prefix of ALG's schedule must complete it identically (greedy's selections
-// depend only on the schedule state, not on how it was reached).
+// Extend from an empty schedule must reproduce ALG exactly (schedule, score
+// evaluations and examined pairs), and extending a prefix of ALG's schedule
+// must complete it identically (greedy's selections depend only on the
+// schedule state, not on how it was reached).
 func TestExtendMatchesALG(t *testing.T) {
 	inst := randomInstance(5, 14, 4, 5, 25, 6)
 	full, err := (ALG{}).Schedule(inst, 8)
@@ -690,6 +691,10 @@ func TestExtendMatchesALG(t *testing.T) {
 	fromEmpty, err := Extend(inst, core.NewSchedule(inst), 8, core.ScorerOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fromEmpty.ScoreEvals != full.ScoreEvals || fromEmpty.Examined != full.Examined {
+		t.Fatalf("Extend(empty) counters (%d evals, %d examined) != ALG's (%d, %d)",
+			fromEmpty.ScoreEvals, fromEmpty.Examined, full.ScoreEvals, full.Examined)
 	}
 	fa, ea := full.Schedule.Assignments(), fromEmpty.Schedule.Assignments()
 	if len(fa) != len(ea) {

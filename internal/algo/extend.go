@@ -15,9 +15,9 @@ import (
 // events" — and the building block the incremental event-planning variants
 // cited by the paper ([6] Cheng et al., ICDE 2017) study.
 //
-// Extend uses ALG's greedy rule against the current schedule state, so
-// Extend(inst, empty, k) selects exactly ALG's schedule, which the tests
-// assert. The base schedule is not modified; the returned Result holds an
+// Extend runs ALG's own select/update loop from the base schedule, so
+// Extend(inst, empty, k) is exactly ALG's run — schedule, ScoreEvals and
+// Examined — which the tests assert. The base schedule is not modified; the returned Result holds an
 // extended copy.
 func Extend(inst *core.Instance, base *core.Schedule, extra int, opts core.ScorerOptions) (*Result, error) {
 	return ExtendCtx(context.Background(), inst, base, extra, opts)
@@ -34,7 +34,7 @@ func ExtendCtx(ctx context.Context, inst *core.Instance, base *core.Schedule, ex
 		return nil, err
 	}
 	defer en.Close()
-	return extendWith(ctx, en, base, extra)
+	return greedy(ctx, en, base.Clone(), base.Len()+extra, time.Now())
 }
 
 // ExtendWithEngine is ExtendCtx against a shared scoring engine (which pins
@@ -44,7 +44,7 @@ func ExtendWithEngine(ctx context.Context, en *score.Engine, base *core.Schedule
 	if err := checkExtend(en.Instance(), base, extra); err != nil {
 		return nil, err
 	}
-	return extendWith(ctx, en, base, extra)
+	return greedy(ctx, en, base.Clone(), base.Len()+extra, time.Now())
 }
 
 func checkExtend(inst *core.Instance, base *core.Schedule, extra int) error {
@@ -58,95 +58,4 @@ func checkExtend(inst *core.Instance, base *core.Schedule, extra int) error {
 		return errors.New("algo: base schedule belongs to a different instance")
 	}
 	return nil
-}
-
-func extendWith(ctx context.Context, en *score.Engine, base *core.Schedule, extra int) (*Result, error) {
-	inst := en.Instance()
-	g := newGuard(ctx, extra)
-	if err := g.point(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	s := base.Clone()
-	var c Counters
-
-	nE, nT := inst.NumEvents(), inst.NumIntervals()
-	// Initial frontier: every interval of every still-unassigned event,
-	// scored against the base schedule in one batch.
-	scores := make([]float64, nE*nT)
-	cands := make([]score.Candidate, 0, nE*nT)
-	for e := 0; e < nE; e++ {
-		if _, taken := s.AssignedInterval(e); taken {
-			continue
-		}
-		for t := 0; t < nT; t++ {
-			cands = append(cands, score.Candidate{Event: e, Interval: t})
-		}
-	}
-	vals := make([]float64, len(cands))
-	if err := en.ScoreBatch(g.ctx, s, cands, vals); err != nil {
-		return nil, err
-	}
-	for i, cd := range cands {
-		scores[cd.Event*nT+cd.Interval] = vals[i]
-	}
-	c.ScoreEvals += int64(len(cands))
-	if err := g.batch(len(cands)); err != nil {
-		return nil, err
-	}
-
-	target := s.Len() + extra
-	for s.Len() < target {
-		bestE, bestT := -1, -1
-		bestScore := 0.0
-		for e := 0; e < nE; e++ {
-			if _, taken := s.AssignedInterval(e); taken {
-				continue
-			}
-			for t := 0; t < nT; t++ {
-				c.Examined++
-				if !s.Feasible(e, t) {
-					continue
-				}
-				sv := scores[e*nT+t]
-				if bestE < 0 || betterFull(sv, int32(e), t, bestScore, int32(bestE), bestT) {
-					bestE, bestT, bestScore = e, t, sv
-				}
-			}
-		}
-		if bestE < 0 {
-			break
-		}
-		if err := s.Assign(bestE, bestT); err != nil {
-			return nil, err
-		}
-		if err := g.selected(s.Len() - base.Len()); err != nil {
-			return nil, err
-		}
-		if s.Len() >= target {
-			break
-		}
-		// Recompute the selected interval's column in one batch.
-		upd := cands[:0]
-		for e := 0; e < nE; e++ {
-			if _, taken := s.AssignedInterval(e); taken {
-				continue
-			}
-			if !s.Feasible(e, bestT) {
-				continue
-			}
-			upd = append(upd, score.Candidate{Event: e, Interval: bestT})
-		}
-		if err := en.ScoreBatch(g.ctx, s, upd, vals); err != nil {
-			return nil, err
-		}
-		for i, cd := range upd {
-			scores[cd.Event*nT+bestT] = vals[i]
-		}
-		c.ScoreEvals += int64(len(upd))
-		if err := g.batch(len(upd)); err != nil {
-			return nil, err
-		}
-	}
-	return finish(en, s, c, start), nil
 }

@@ -30,7 +30,6 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "seed for RAND and -simulate")
 		simulate = fs.Int("simulate", 0, "cross-check Ω with this many Monte-Carlo trials")
 		parallel = fs.Int("parallel", 0, "score with this many engine workers (0 = sequential, -1 = all cores; utilities are bit-identical)")
-		workers  = fs.Int("workers", 0, "deprecated alias for -parallel")
 		quiet    = fs.Bool("q", false, "suppress the per-event table")
 
 		batch    = fs.String("batch", "", "sesd base URL: submit an async sweep job instead of solving locally")
@@ -74,9 +73,6 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 	inst, err := seio.ReadInstance(r)
 	if err != nil {
 		return fail(stderr, "sesrun", err)
-	}
-	if *parallel == 0 {
-		*parallel = *workers
 	}
 	if *parallel < 0 {
 		*parallel = score.DefaultWorkers()

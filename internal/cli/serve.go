@@ -178,18 +178,17 @@ func Sesd(args []string, stdout, stderr io.Writer) int {
 	defer srv.Close()
 	handler.Store(handlerBox{srv})
 	if *dataDir != "" {
-		p := srv.Snapshot().Persist
-		if p.Recovery != nil {
+		if rec, ms := srv.Recovery(); rec != nil {
 			logger.Info("sesd recovered",
 				"data_dir", *dataDir,
-				"snapshot_seq", p.Recovery.SnapshotSeq,
-				"snapshot_records", p.Recovery.SnapshotRecords,
-				"wal_records", p.Recovery.Records,
-				"wal_segments", p.Recovery.Segments,
-				"elapsed_ms", p.RecoveryMS)
-			if p.Recovery.TornBytes > 0 {
+				"snapshot_seq", rec.SnapshotSeq,
+				"snapshot_records", rec.SnapshotRecords,
+				"wal_records", rec.Records,
+				"wal_segments", rec.Segments,
+				"elapsed_ms", ms)
+			if rec.TornBytes > 0 {
 				logger.Warn("discarded a torn wal tail (crash mid-append)",
-					"torn_bytes", p.Recovery.TornBytes)
+					"torn_bytes", rec.TornBytes)
 			}
 		}
 	}

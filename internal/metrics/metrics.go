@@ -26,6 +26,7 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -582,6 +583,39 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// Values samples every series once, keyed by its name and label block exactly
+// as WritePrometheus prints them. It parses WritePrometheus's own output, so
+// the map cannot drift from the exposition. Histogram _bucket series are left
+// out; their _sum and _count stay.
+func (r *Registry) Values() (map[string]float64, error) {
+	var doc bytes.Buffer
+	if err := r.WritePrometheus(&doc); err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	hists := map[string]bool{}
+	for _, line := range strings.Split(doc.String(), "\n") {
+		if kind, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, k, _ := strings.Cut(kind, " "); k == "histogram" {
+				hists[name] = true
+			}
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, labels, v, err := parseSample(line)
+		if err != nil {
+			return nil, err
+		}
+		if base, ok := strings.CutSuffix(name, "_bucket"); ok && hists[base] {
+			continue
+		}
+		out[name+labels] = v
+	}
+	return out, nil
 }
 
 // ExpBuckets returns n bucket bounds growing geometrically from start by

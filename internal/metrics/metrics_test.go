@@ -58,6 +58,39 @@ func TestCounterGaugeRendering(t *testing.T) {
 	}
 }
 
+// TestValuesFlattensExposition: Values maps every rendered series, labels
+// included, to its value and drops only histogram buckets.
+func TestValuesFlattensExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_ops_total", "Operations.").Add(3)
+	r.CounterVec("test_req_total", "Requests.", "route").With(`a"b`).Inc()
+	h := r.Histogram("test_latency_seconds", "Latency.", []float64{1, 2})
+	h.Observe(0.5)
+	h.Observe(1.5)
+	// A counter whose name ends in _bucket is not a histogram bucket.
+	r.Counter("test_bucket", "Not a histogram.").Inc()
+
+	got, err := r.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"test_ops_total":               3,
+		`test_req_total{route="a\"b"}`: 1,
+		"test_latency_seconds_sum":     2,
+		"test_latency_seconds_count":   2,
+		"test_bucket":                  1,
+	}
+	if len(got) != len(want) {
+		t.Errorf("Values() = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("Values()[%s] = %v, want %v", k, got[k], v)
+		}
+	}
+}
+
 func TestCounterNegativeAddPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -34,13 +34,6 @@ import (
 // cap are counted as dropped and return nil (whose End is a no-op).
 const maxSpans = 512
 
-// Stage is one named stage with its accumulated duration (the flat view used
-// by the solve response's stage_timings).
-type Stage struct {
-	Name     string
-	Duration time.Duration
-}
-
 // attr is one key=value annotation on a span.
 type attr struct{ key, value string }
 
@@ -193,27 +186,6 @@ func (t *Trace) Get(name string) time.Duration {
 		}
 	}
 	return sum
-}
-
-// Stages snapshots the root's direct children as a flat stage list in
-// first-seen order, summing same-named spans. Nil returns nil.
-func (t *Trace) Stages() []Stage {
-	if t == nil {
-		return nil
-	}
-	t.lock()
-	defer t.unlock()
-	var out []Stage
-	idx := map[string]int{}
-	for _, c := range t.root.children {
-		if i, ok := idx[c.name]; ok {
-			out[i].Duration += c.dur
-			continue
-		}
-		idx[c.name] = len(out)
-		out = append(out, Stage{Name: c.name, Duration: c.dur})
-	}
-	return out
 }
 
 // Start opens a timed child span under the root. On a nil trace — or past the

@@ -19,12 +19,12 @@ func TestAddAccumulatesAndKeepsOrder(t *testing.T) {
 	if got := tr.Get("score"); got != 25*time.Millisecond {
 		t.Fatalf("score = %v, want 25ms", got)
 	}
-	st := tr.Stages()
-	if len(st) != 2 || st[0].Name != "score" || st[1].Name != "select" {
-		t.Fatalf("stages = %+v, want score then select", st)
+	kids := tr.Snapshot().Root.Children
+	if len(kids) != 2 || kids[0].Name != "score" || kids[1].Name != "select" {
+		t.Fatalf("children = %+v, want score then select", kids)
 	}
-	if st[0].Duration != 25*time.Millisecond || st[1].Duration != 5*time.Millisecond {
-		t.Fatalf("stage durations = %+v", st)
+	if kids[0].DurationMS != 25 || kids[0].Count != 2 || kids[1].DurationMS != 5 {
+		t.Fatalf("aggregate children = %+v", kids)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	sp.Annotate("k", "v")
 	sp.End()
 	sp.Start("y").End()
-	if tr.Get("x") != 0 || tr.Stages() != nil || tr.ID() != "" || tr.Traceparent() != "" {
+	if tr.Get("x") != 0 || tr.ID() != "" || tr.Traceparent() != "" {
 		t.Fatal("nil trace leaked state")
 	}
 	if d := tr.Finish(); d != 0 {

@@ -101,20 +101,18 @@ type RecoveryStats struct {
 	TornBytes int64 `json:"torn_bytes,omitempty"`
 }
 
-// Stats samples the log's counters for /stats.
+// Stats samples the log's counters for the server's metrics registry.
 type Stats struct {
-	Dir             string `json:"dir"`
-	Fsync           bool   `json:"fsync"`
-	ActiveSegment   uint64 `json:"active_segment"`
-	ActiveBytes     int64  `json:"active_bytes"`
-	Segments        int    `json:"segments"`
-	Appends         int64  `json:"appends"`
-	AppendedBytes   int64  `json:"appended_bytes"`
-	Rotations       int64  `json:"rotations"`
-	RotateErrors    int64  `json:"rotate_errors,omitempty"`
-	Compactions     int64  `json:"compactions"`
-	LastSnapshotSeq uint64 `json:"last_snapshot_seq"`
-	SnapshotRecords int64  `json:"snapshot_records"`
+	ActiveSegment   uint64
+	ActiveBytes     int64
+	Segments        int
+	Appends         int64
+	AppendedBytes   int64
+	Rotations       int64
+	RotateErrors    int64
+	Compactions     int64
+	LastSnapshotSeq uint64
+	SnapshotRecords int64
 }
 
 // Log is an open write-ahead log. Appends are serialized internally; Compact
@@ -640,8 +638,6 @@ func (l *Log) Stats() Stats {
 	seq, size, lastSnap, snapRecs := l.seq, l.size, l.lastSnap, l.snapRecords
 	l.mu.Unlock()
 	return Stats{
-		Dir:             l.opts.Dir,
-		Fsync:           l.opts.Fsync,
 		ActiveSegment:   seq,
 		ActiveBytes:     size,
 		Segments:        int(seq - lastSnap),

@@ -506,11 +506,10 @@ func (en *Engine) scoreBatchCompute(ctx context.Context, s *core.Schedule, cands
 	return nil
 }
 
-// Stats is a point-in-time view of the engine's work, surfaced by sesd's
-// /stats. Evals counts Eq. 4 evaluations performed (batch or single);
-// Fanouts counts the evaluations/batches that actually engaged the worker
-// set, so Fanouts ≪ Batches means the workload stayed under the parallel
-// thresholds.
+// Stats is a point-in-time view of the engine's work. Evals counts Eq. 4
+// evaluations performed (batch or single); Fanouts counts the
+// evaluations/batches that actually engaged the worker set, so Fanouts ≪
+// Batches means the workload stayed under the parallel thresholds.
 type Stats struct {
 	Workers int   `json:"workers"`
 	Evals   int64 `json:"evals"`

@@ -46,18 +46,6 @@ type SolveRequest struct {
 	// (influence-weighted attendance, profit-oriented costs).
 	UserWeights []float64 `json:"user_weights,omitempty"`
 	EventCosts  []float64 `json:"event_costs,omitempty"`
-	// Timings requests the per-stage breakdown (StageTiming) in the
-	// response. Cached responses carry no stages — no work ran.
-	Timings bool `json:"timings,omitempty"`
-}
-
-// StageTiming is one named stage of a solve with its wall time. Stages do
-// not nest and may run concurrently with each other inside the solver, so
-// their sum can differ from elapsed_ms; each answers "where did the time
-// go" for its own layer.
-type StageTiming struct {
-	Stage string  `json:"stage"`
-	MS    float64 `json:"ms"`
 }
 
 // SolveResponse is the body returned by solve and extend.
@@ -74,12 +62,6 @@ type SolveResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	// Cached reports that the response came from the result cache.
 	Cached bool `json:"cached"`
-	// Stages is the optional per-stage timing breakdown (engine_acquire /
-	// score / select / encode), present only when the request set Timings
-	// and the solve actually ran. Never cached or persisted: a replayed or
-	// cached response would otherwise report another run's timings as its
-	// own.
-	Stages []StageTiming `json:"stage_timings,omitempty"`
 	// TraceID names the server-side trace of the request that produced this
 	// response; resolve it at GET /debug/traces/{id} while retained. Never
 	// cached or persisted — each response carries its own request's ID, even
@@ -97,8 +79,6 @@ type ExtendRequest struct {
 	Extra       int       `json:"extra"`
 	UserWeights []float64 `json:"user_weights,omitempty"`
 	EventCosts  []float64 `json:"event_costs,omitempty"`
-	// Timings requests the per-stage breakdown in the response.
-	Timings bool `json:"timings,omitempty"`
 }
 
 // CellUpdate sets one matrix cell: interest (Index = candidate event),

@@ -205,32 +205,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// CacheStats is the /stats view of the cache.
-type CacheStats struct {
-	Entries       int     `json:"entries"`
-	Capacity      int     `json:"capacity"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	Invalidations int64   `json:"invalidations"`
-	// StaleDrops counts inserts refused because their version lost a race
-	// with a mutation or deletion (each one is a squatter that never was).
-	StaleDrops int64 `json:"stale_drops,omitempty"`
-}
-
-// Stats samples the cache counters.
-func (c *Cache) Stats() CacheStats {
-	s := CacheStats{
-		Entries:       c.Len(),
-		Capacity:      c.max,
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Invalidations: c.invalidations.Load(),
-		StaleDrops:    c.staleDrops.Load(),
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
-	}
-	return s
-}

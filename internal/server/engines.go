@@ -314,25 +314,6 @@ func (ec *engineCache) close() {
 	}
 }
 
-// EngineCacheStats is the /stats view of the engine cache.
-type EngineCacheStats struct {
-	// Workers is the per-engine worker count (sesd -parallel; 1 = sequential
-	// scoring).
-	Workers int `json:"workers"`
-	// Engines is the number of currently cached engines.
-	Engines int `json:"engines"`
-	// Hits and Misses count acquire outcomes; a high hit rate means solves
-	// are reusing the per-version precompute and worker sets.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// WarmBuilds counts misses answered by a delta-aware rebuild from a
-	// retired predecessor instead of a cold O(|U|·|C|) precompute.
-	WarmBuilds int64 `json:"warm_builds,omitempty"`
-	// StaleDrops counts built engines served privately because their
-	// version lost a race with a mutation or deletion.
-	StaleDrops int64 `json:"stale_drops,omitempty"`
-}
-
 // len reports the number of currently cached engines (for the metrics gauge).
 func (ec *engineCache) len() int {
 	ec.mu.Lock()
@@ -350,23 +331,4 @@ func (ec *engineCache) memoCells() int64 {
 		n += e.en.MemoCells()
 	}
 	return n
-}
-
-// stats samples the cache counters.
-func (ec *engineCache) stats() EngineCacheStats {
-	ec.mu.Lock()
-	n := len(ec.m)
-	workers := ec.workers
-	ec.mu.Unlock()
-	if workers < 1 {
-		workers = 1
-	}
-	return EngineCacheStats{
-		Workers:    workers,
-		Engines:    n,
-		Hits:       ec.hits.Load(),
-		Misses:     ec.misses.Load(),
-		WarmBuilds: ec.warmBuilds.Load(),
-		StaleDrops: ec.staleDrops.Load(),
-	}
 }

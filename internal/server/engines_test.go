@@ -40,9 +40,8 @@ func TestEngineCacheShareEvictRelease(t *testing.T) {
 	if e1 != e1b {
 		t.Fatal("same key produced two engines")
 	}
-	st := ec.stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Engines != 1 {
-		t.Fatalf("stats after share: %+v", st)
+	if h, m, n := ec.hits.Load(), ec.misses.Load(), ec.len(); h != 1 || m != 1 || n != 1 {
+		t.Fatalf("after share: %d hits, %d misses, %d engines; want 1, 1, 1", h, m, n)
 	}
 
 	// Fill past capacity: k1 (still referenced) must survive functionally
@@ -54,7 +53,7 @@ func TestEngineCacheShareEvictRelease(t *testing.T) {
 		}
 		rel()
 	}
-	if n := ec.stats().Engines; n > 2 {
+	if n := ec.len(); n > 2 {
 		t.Fatalf("cache holds %d engines, capacity 2", n)
 	}
 	// The evicted-but-referenced engine must still score.
@@ -65,9 +64,9 @@ func TestEngineCacheShareEvictRelease(t *testing.T) {
 	rel1b() // releases are idempotent
 
 	// After invalidate, the same key builds a fresh engine (a miss).
-	misses := ec.stats().Misses
+	misses := ec.misses.Load()
 	ec.invalidate("a")
-	if n := ec.stats().Engines; n != 0 {
+	if n := ec.len(); n != 0 {
 		t.Fatalf("invalidate left %d engines", n)
 	}
 	_, rel, _, err := ec.acquire(k1, inst, core.ScorerOptions{})
@@ -75,7 +74,7 @@ func TestEngineCacheShareEvictRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
-	if got := ec.stats().Misses; got != misses+1 {
+	if got := ec.misses.Load(); got != misses+1 {
 		t.Fatalf("misses = %d after invalidate, want %d", got, misses+1)
 	}
 }
@@ -93,7 +92,7 @@ func TestEngineCacheCloseStragglers(t *testing.T) {
 	s := core.NewSchedule(inst)
 	_ = en.Score(s, 0, 0)
 	rel()
-	if n := ec.stats().Engines; n != 0 {
+	if n := ec.len(); n != 0 {
 		t.Fatalf("closed cache cached %d engines", n)
 	}
 }
@@ -156,10 +155,10 @@ func TestParallelSolvesShareEngineUnderRace(t *testing.T) {
 		t.Fatalf("sweep finished with %+v, want 4 done cells", final.Counts)
 	}
 
-	if st := parSrv.engines.stats(); st.Workers != 4 || st.Hits == 0 {
-		t.Fatalf("parallel server engine stats show no sharing: %+v", st)
+	if w, h := parSrv.engines.workers, parSrv.engines.hits.Load(); w != 4 || h == 0 {
+		t.Fatalf("parallel server engines: %d workers, %d hits; want 4 workers and sharing", w, h)
 	}
-	if st := seqSrv.engines.stats(); st.Workers != 1 {
-		t.Fatalf("sequential server reports %d engine workers", st.Workers)
+	if w := seqSrv.engines.workers; w > 1 {
+		t.Fatalf("sequential server reports %d engine workers", w)
 	}
 }

@@ -58,8 +58,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
+// handleStats renders the metric registry as one flat JSON object, series to
+// value: the /metrics samples minus the histogram buckets.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
+	vals, err := s.reg.Values()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, vals)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -300,13 +307,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Examined:   res.Examined,
 			ElapsedMS:  seio.DurationMS(res.Elapsed),
 		}
-		// Cache and log the response WITHOUT stages or trace ID: a cached or
+		// Cache and log the response WITHOUT the trace ID: a cached or
 		// replayed response must not present another run's identity as its own.
 		s.cache.Put(key, resp)
 		s.appendSolveRecord(key, resp)
-		if req.Timings {
-			resp.Stages = stageBreakdown(tr)
-		}
 		resp.TraceID = tr.ID()
 	}) {
 		return
@@ -345,22 +349,6 @@ func scheduleMsg(en *score.Engine, res *algo.Result) seio.ScheduleMsg {
 		utility = plain.Utility(res.Schedule)
 	}
 	return seio.ScheduleMsgFrom(plain, res.Schedule, utility)
-}
-
-// stageBreakdown renders a solve's trace as the response's stage list:
-// engine_acquire and encode are measured directly, "score" is the batched
-// frontier-scoring time the engine booked against the trace, and "select" is
-// the remainder booked by bookSelect. Nil trace → nil.
-func stageBreakdown(tr *span.Trace) []seio.StageTiming {
-	if tr == nil {
-		return nil
-	}
-	return []seio.StageTiming{
-		{Stage: "engine_acquire", MS: seio.DurationMS(tr.Get("engine_acquire"))},
-		{Stage: "score", MS: seio.DurationMS(tr.Get("score"))},
-		{Stage: "select", MS: seio.DurationMS(tr.Get("select"))},
-		{Stage: "encode", MS: seio.DurationMS(tr.Get("encode"))},
-	}
 }
 
 // handleExtend grows a client-provided base schedule by extra greedy
@@ -428,9 +416,6 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 			Examined:   res.Examined,
 			ElapsedMS:  seio.DurationMS(res.Elapsed),
 			TraceID:    tr.ID(),
-		}
-		if req.Timings {
-			resp.Stages = stageBreakdown(tr)
 		}
 	}) {
 		return

@@ -265,7 +265,7 @@ func (js *Jobs) notifyFinished(j *Job) {
 // abortUnstarted unregisters a job whose dispatcher never launched (the
 // submit-time WAL append failed), releasing the WaitGroup slot add reserved
 // for it and rolling back the submission counter — the job never existed as
-// far as clients or /stats are concerned. The consumed ID sequence value is
+// far as clients or the metrics are concerned. The consumed ID sequence value is
 // simply skipped. (A compaction racing this window can still capture the
 // job, so a later crash may recover it as a cancelled entry under an ID no
 // client holds — the same harmless ghost any crash between a WAL append and
@@ -473,39 +473,12 @@ func (j *Job) cancelJob() {
 	j.cancelQueued(0)
 }
 
-// JobsStats is the /stats view of the job subsystem.
-type JobsStats struct {
-	Jobs           int   `json:"jobs"`
-	Submitted      int64 `json:"submitted"`
-	Finished       int64 `json:"finished"`
-	CancelRequests int64 `json:"cancel_requests"`
-	CellsDone      int64 `json:"cells_done"`
-	CellsFailed    int64 `json:"cells_failed"`
-	CellsCancelled int64 `json:"cells_cancelled"`
-}
-
 // retained reports the number of currently retained jobs (for the metrics
 // gauge).
 func (js *Jobs) retained() int {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	return len(js.m)
-}
-
-// Stats samples the job counters.
-func (js *Jobs) Stats() JobsStats {
-	js.mu.Lock()
-	n := len(js.m)
-	js.mu.Unlock()
-	return JobsStats{
-		Jobs:           n,
-		Submitted:      js.submitted.Load(),
-		Finished:       js.finished.Load(),
-		CancelRequests: js.cancelRequests.Load(),
-		CellsDone:      js.cellsDone.Load(),
-		CellsFailed:    js.cellsFailed.Load(),
-		CellsCancelled: js.cellsCancelled.Load(),
-	}
 }
 
 // seedKeyFor collapses the client seed for deterministic algorithms so they

@@ -113,9 +113,8 @@ func TestJobSweepMatchesSolve(t *testing.T) {
 
 	// A mutation AFTER submit must not have leaked into the job: the job
 	// pins the snapshot it was submitted against.
-	stats := srv.Snapshot()
-	if stats.Jobs.Submitted != 1 || stats.Jobs.CellsDone != int64(len(st.Cells)) {
-		t.Errorf("job stats wrong: %+v", stats.Jobs)
+	if sub, done := srv.jobs.submitted.Load(), srv.jobs.cellsDone.Load(); sub != 1 || done != int64(len(st.Cells)) {
+		t.Errorf("job counters: %d submitted, %d cells done; want 1, %d", sub, done, len(st.Cells))
 	}
 	var listing seio.JobListResponse
 	do(t, c, "GET", ts.URL+"/jobs", nil, http.StatusOK, &listing)
@@ -289,9 +288,8 @@ func TestJobsConcurrent(t *testing.T) {
 	// Shutdown drains everything: no active workers, an empty queue, and
 	// no dispatcher goroutines left (Close returns only after they exit).
 	srv.Close()
-	ps := srv.pool.Stats()
-	if ps.Active != 0 || ps.QueueDepth != 0 {
-		t.Errorf("pool did not drain on shutdown: %+v", ps)
+	if active, depth := srv.pool.active.Load(), len(srv.pool.jobs); active != 0 || depth != 0 {
+		t.Errorf("pool did not drain on shutdown: %d active, %d queued", active, depth)
 	}
 }
 
@@ -344,7 +342,7 @@ func TestJobTTL(t *testing.T) {
 	do(t, c, "GET", ts.URL+"/jobs/"+st.ID, nil, http.StatusOK, nil)
 	time.Sleep(60 * time.Millisecond)
 	do(t, c, "GET", ts.URL+"/jobs/"+st.ID, nil, http.StatusNotFound, nil)
-	if n := srv.jobs.Stats().Jobs; n != 0 {
+	if n := srv.jobs.retained(); n != 0 {
 		t.Errorf("%d jobs retained after TTL", n)
 	}
 }

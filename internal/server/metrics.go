@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -16,14 +15,16 @@ import (
 // This file is the server's observability surface: the metric registry every
 // layer reports into, the HTTP middleware that instruments and access-logs
 // each route, and the GET /metrics handler that renders it all as Prometheus
-// text exposition.
+// text exposition. GET /stats renders the same registry as flat JSON, so the
+// registry is the only bookkeeping either endpoint reads.
 //
 // Every metric is registered unconditionally — persist-layer families render 0
 // on a memory-only server rather than disappearing — so the catalogue a
 // scraper sees (and the guard test checks against the README) is identical
-// regardless of configuration. Counters that already exist as /stats atomics
-// are exposed through CounterFunc/GaugeFunc closures sampling those same
-// atomics at scrape time: one source of truth, no double bookkeeping.
+// regardless of configuration. Subsystems that keep their own atomic counters
+// (the pool, the caches, the jobs, the WAL) are exposed through
+// CounterFunc/GaugeFunc closures sampling those atomics at scrape time: one
+// source of truth, no double bookkeeping.
 
 // batchWidthBuckets sizes the candidate-count histogram of batched scoring
 // calls: frontiers range from a handful of events to the low thousands.
@@ -340,31 +341,15 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// nextRequestID mints a process-unique request ID: a per-boot prefix plus a
-// sequence number, cheap enough for every request and unique enough to grep a
-// log by.
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", s.ridPrefix, s.reqSeq.Add(1))
-}
-
 // instrument wraps one route's handler with the observability middleware:
-// request counting (both the /stats counter and the labeled Prometheus
-// family), in-flight and latency tracking, request-ID and traceparent
-// propagation, the request's span tree, and one structured access-log line
-// per request. Counters bump at entry, matching the previous per-handler
-// s.count placement.
+// in-flight tracking, traceparent propagation, the request's span tree, and at
+// exit the labeled request counter, the latency histogram and one structured
+// access-log line keyed by the trace ID.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.count(route)
 		s.httpInFlight.Inc()
 		defer s.httpInFlight.Dec()
-
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" {
-			rid = s.nextRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
 
 		// Every request gets a trace rooted at its route; a valid incoming
 		// W3C traceparent is adopted so the server's spans join the caller's
@@ -373,7 +358,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		// the engine cache and the scoring engine.
 		tr := span.NewRoot(route)
 		tr.Adopt(r.Header.Get("traceparent"))
-		tr.Annotate("request_id", rid)
 		w.Header().Set("traceparent", tr.Traceparent())
 		r = r.WithContext(span.NewContext(r.Context(), tr))
 
@@ -406,7 +390,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			lvl = slog.LevelWarn
 		}
 		s.logger.LogAttrs(r.Context(), lvl, "request",
-			slog.String("request_id", rid),
 			slog.String("trace_id", tr.ID()),
 			slog.String("method", r.Method),
 			slog.String("route", route),

@@ -6,11 +6,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/metrics/span"
 	"repro/internal/seio"
 )
 
@@ -36,6 +41,16 @@ func scrape(t *testing.T, c *http.Client, base string) string {
 		t.Fatalf("exposition lint: %v", err)
 	}
 	return string(body)
+}
+
+// registryValues samples the server's registry the way GET /stats renders it.
+func registryValues(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	vals, err := s.reg.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
 }
 
 // sampleValue extracts the value of the first sample line whose name (plus
@@ -64,8 +79,8 @@ func sampleValue(t *testing.T, doc, prefix string) float64 {
 }
 
 // TestMetricsEndToEnd drives traffic through every layer and asserts the
-// scraped counters moved: HTTP requests, score-engine work, cache hit/miss,
-// and the request-ID header contract.
+// scraped counters moved: HTTP requests, score-engine work and cache
+// hit/miss.
 func TestMetricsEndToEnd(t *testing.T) {
 	s, err := New(Config{Workers: 2, Queue: 8, ScoreWorkers: 2})
 	if err != nil {
@@ -121,29 +136,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("sesd_score_memo_cells = %v before any engine exists", got)
 	}
 
-	// Request-ID contract: generated when absent, echoed when supplied.
-	resp, err := c.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Request-ID") == "" {
-		t.Error("response missing generated X-Request-ID")
-	}
-	req, _ := http.NewRequest("GET", ts.URL+"/stats", nil)
-	req.Header.Set("X-Request-ID", "caller-supplied-1")
-	resp, err = c.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-ID"); got != "caller-supplied-1" {
-		t.Errorf("X-Request-ID = %q, want the caller's ID echoed", got)
-	}
 }
 
-// TestSolveStageTimings exercises the opt-in per-stage breakdown.
-func TestSolveStageTimings(t *testing.T) {
+// TestSolveTraceStages: a solve's trace carries the per-stage breakdown as
+// the root's children (queue, then engine_acquire, score, select, encode, none
+// negative); a cache hit ran none of them; an extend books the same stages.
+func TestSolveTraceStages(t *testing.T) {
 	s, err := New(Config{Workers: 1, Queue: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -154,52 +152,144 @@ func TestSolveStageTimings(t *testing.T) {
 	c := ts.Client()
 
 	do(t, c, "PUT", ts.URL+"/instances/x", testInstanceJSON(t, 12, 40, 1), http.StatusCreated, nil)
-
-	// Without timings: no stages.
-	var plain seio.SolveResponse
-	do(t, c, "POST", ts.URL+"/instances/x/solve",
-		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 3}), http.StatusOK, &plain)
-	if plain.Stages != nil {
-		t.Errorf("untimed solve returned stages: %v", plain.Stages)
-	}
-
-	// With timings (different k so it misses the cache): the four stages in
-	// order, none negative.
-	var timed seio.SolveResponse
-	do(t, c, "POST", ts.URL+"/instances/x/solve",
-		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 4, Timings: true}), http.StatusOK, &timed)
-	wantStages := []string{"engine_acquire", "score", "select", "encode"}
-	if len(timed.Stages) != len(wantStages) {
-		t.Fatalf("stages = %v, want %v", timed.Stages, wantStages)
-	}
-	for i, st := range timed.Stages {
-		if st.Stage != wantStages[i] {
-			t.Errorf("stage[%d] = %q, want %q", i, st.Stage, wantStages[i])
+	stages := func(traceID string) []string {
+		t.Helper()
+		var td span.TraceData
+		do(t, c, "GET", ts.URL+"/debug/traces/"+traceID, nil, http.StatusOK, &td)
+		var names []string
+		for _, ch := range td.Root.Children {
+			if ch.DurationMS < 0 {
+				t.Errorf("stage %s is negative: %v", ch.Name, ch.DurationMS)
+			}
+			names = append(names, ch.Name)
 		}
-		if st.MS < 0 {
-			t.Errorf("stage %s is negative: %v", st.Stage, st.MS)
-		}
+		return names
+	}
+	want := []string{"queue", "engine_acquire", "score", "select", "encode"}
+
+	var solved seio.SolveResponse
+	do(t, c, "POST", ts.URL+"/instances/x/solve",
+		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 4}), http.StatusOK, &solved)
+	if got := stages(solved.TraceID); !slices.Equal(got, want) {
+		t.Fatalf("solve stages = %v, want %v", got, want)
 	}
 
-	// A cache hit repeats the result but never the timings — they would be
-	// another run's.
+	// A cache hit repeats the result but runs no stage.
 	var cached seio.SolveResponse
 	do(t, c, "POST", ts.URL+"/instances/x/solve",
-		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 4, Timings: true}), http.StatusOK, &cached)
+		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 4}), http.StatusOK, &cached)
 	if !cached.Cached {
 		t.Fatal("repeat solve missed the cache")
 	}
-	if cached.Stages != nil {
-		t.Errorf("cached solve returned stages: %v", cached.Stages)
+	if got := stages(cached.TraceID); len(got) != 0 {
+		t.Errorf("cached solve ran stages %v", got)
 	}
 
-	// Extend returns stages too.
 	var ext seio.SolveResponse
 	do(t, c, "POST", ts.URL+"/instances/x/extend",
-		jsonBody(t, seio.ExtendRequest{Base: timed.Schedule.Assignments, Extra: 2, Timings: true}),
-		http.StatusOK, &ext)
-	if len(ext.Stages) != len(wantStages) {
-		t.Errorf("extend stages = %v, want the four-stage breakdown", ext.Stages)
+		jsonBody(t, seio.ExtendRequest{Base: solved.Schedule.Assignments, Extra: 2}), http.StatusOK, &ext)
+	if got := stages(ext.TraceID); !slices.Equal(got, want) {
+		t.Errorf("extend stages = %v, want %v", got, want)
+	}
+}
+
+// TestStatsIsMetricsView: after a mixed workload, GET /stats holds exactly the
+// /metrics series (histogram buckets aside) with the same values. Every
+// sesd_*_total series must agree, except the Go runtime's own counters, which
+// move between the two scrapes, and the /stats request counter, which the
+// /stats scrape bumps after rendering itself.
+func TestStatsIsMetricsView(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, Queue: 8})
+	c := ts.Client()
+
+	do(t, c, "PUT", ts.URL+"/instances/x", testInstanceJSON(t, 6, 40, 1), http.StatusCreated, nil)
+	var solved seio.SolveResponse
+	for i := 0; i < 2; i++ { // the second is a result-cache hit
+		do(t, c, "POST", ts.URL+"/instances/x/solve",
+			jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 3}), http.StatusOK, &solved)
+	}
+	do(t, c, "PATCH", ts.URL+"/instances/x",
+		jsonBody(t, seio.MutateRequest{Activity: []seio.CellUpdate{{User: 0, Index: 0, Value: 0.9}}}), http.StatusOK, nil)
+	do(t, c, "POST", ts.URL+"/instances/x/extend",
+		jsonBody(t, seio.ExtendRequest{Base: solved.Schedule.Assignments[:1], Extra: 2}), http.StatusOK, nil)
+	do(t, c, "POST", ts.URL+"/instances/x/mutations",
+		jsonBody(t, seio.BatchMutateRequest{Mutations: []seio.MutateRequest{
+			{Activity: []seio.CellUpdate{{User: 1, Index: 0, Value: 0.5}}},
+		}}), http.StatusOK, nil)
+	var job seio.JobStatusMsg
+	do(t, c, "POST", ts.URL+"/instances/x/jobs",
+		jsonBody(t, seio.JobRequest{Algorithms: []string{"ALG", "HOR"}, Ks: []int{2, 3}}), http.StatusAccepted, &job)
+	pollJob(t, c, ts.URL, job.ID, 30*time.Second)
+
+	// Quiet: nothing queued or running, and the counters held still for a
+	// while (a request's counter bumps after its response is written).
+	compared := func(key string) bool {
+		name, _, _ := strings.Cut(key, "{")
+		return strings.HasPrefix(name, "sesd_") && strings.HasSuffix(name, "_total") &&
+			!strings.HasPrefix(name, "sesd_go_") && !strings.Contains(key, `route="stats"`)
+	}
+	counters := func() map[string]float64 {
+		out := map[string]float64{}
+		for k, v := range registryValues(t, s) {
+			if compared(k) {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	prev := counters()
+	for deadline := time.Now().Add(10 * time.Second); ; prev = counters() {
+		time.Sleep(20 * time.Millisecond)
+		if s.pool.active.Load() == 0 && len(s.pool.jobs) == 0 && reflect.DeepEqual(prev, counters()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never went quiet")
+		}
+	}
+
+	var stats map[string]float64
+	do(t, c, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
+	series := map[string]float64{}
+	for _, line := range strings.Split(scrape(t, c, ts.URL), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+
+	for key := range stats {
+		if _, ok := series[key]; !ok {
+			t.Errorf("/stats key %s is not a /metrics series", key)
+		}
+	}
+	checked := 0
+	for key, want := range series {
+		if !compared(key) {
+			continue
+		}
+		checked++
+		if got, ok := stats[key]; !ok || got != want {
+			t.Errorf("%s: /stats %v (present %v), /metrics %v", key, got, ok, want)
+		}
+	}
+	// The workload must have moved the families the comparison is about.
+	for _, key := range []string{
+		"sesd_result_cache_hits_total", "sesd_solve_score_evals_total",
+		"sesd_mutation_batches_total", "sesd_job_cells_done_total",
+		`sesd_http_requests_total{route="extend",code="200"}`,
+	} {
+		if stats[key] == 0 {
+			t.Errorf("%s did not move", key)
+		}
+	}
+	if checked < 40 {
+		t.Errorf("compared only %d sesd_*_total series", checked)
 	}
 }
 

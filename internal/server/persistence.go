@@ -22,24 +22,6 @@ import (
 // recovers to a bit-identical store (names, versions, digests), result cache
 // and finished-job table before it serves a single request.
 
-// PersistStats is the /stats view of the durability subsystem.
-type PersistStats struct {
-	// Enabled is false when sesd runs memory-only (no -data-dir).
-	Enabled bool `json:"enabled"`
-	// AppendErrors counts WAL appends that failed (mutations were refused
-	// with 500; solve/job logging is best-effort and only counted).
-	AppendErrors int64 `json:"append_errors,omitempty"`
-	// CompactionErrors counts failed snapshot compactions; the log keeps
-	// appending and retries at the next threshold.
-	CompactionErrors int64 `json:"compaction_errors,omitempty"`
-	// Log samples the segment/snapshot counters of the live WAL.
-	Log *persist.Stats `json:"log,omitempty"`
-	// Recovery describes the boot-time replay that built this process's
-	// state; it never changes after startup.
-	Recovery   *persist.RecoveryStats `json:"recovery,omitempty"`
-	RecoveryMS float64                `json:"recovery_ms,omitempty"`
-}
-
 // openPersistence recovers state from cfg.DataDir and attaches the WAL hooks
 // and the compactor. Called by New before the server takes traffic.
 func (s *Server) openPersistence() error {
@@ -336,18 +318,8 @@ func (s *Server) compactNow() bool {
 	return true
 }
 
-// persistStats samples the durability subsystem for /stats.
-func (s *Server) persistStats() PersistStats {
-	if s.wal == nil {
-		return PersistStats{}
-	}
-	ls := s.wal.Stats()
-	return PersistStats{
-		Enabled:          true,
-		AppendErrors:     s.walAppendErrors.Load(),
-		CompactionErrors: s.walCompactErrors.Load(),
-		Log:              &ls,
-		Recovery:         s.recovery,
-		RecoveryMS:       s.recoveryMS,
-	}
+// Recovery reports the boot-time replay that built this process's state and
+// how long it took in milliseconds; nil and 0 when running memory-only.
+func (s *Server) Recovery() (*persist.RecoveryStats, float64) {
+	return s.recovery, s.recoveryMS
 }

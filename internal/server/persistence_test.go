@@ -114,8 +114,8 @@ func TestRecoveryBitIdentical(t *testing.T) {
 			t.Errorf("solve %s drifted across restart:\n before %+v\n after  %+v", name, before, after)
 		}
 	}
-	if w := srv2.Snapshot().Work; w.ScoreEvals != 0 {
-		t.Errorf("recovered cache still cost %d score evals", w.ScoreEvals)
+	if n := srv2.scoreEvals.Load(); n != 0 {
+		t.Errorf("recovered cache still cost %d score evals", n)
 	}
 
 	// The finished job is still pollable under its ID with identical cells.
@@ -143,9 +143,8 @@ func TestRecoveryBitIdentical(t *testing.T) {
 		t.Errorf("job ID %s reused after recovery", jobNew.ID)
 	}
 
-	st := srv2.Snapshot().Persist
-	if !st.Enabled || st.Recovery == nil || st.Recovery.Records == 0 {
-		t.Errorf("persist stats missing recovery info: %+v", st)
+	if rec, _ := srv2.Recovery(); srv2.wal == nil || rec == nil || rec.Records == 0 {
+		t.Errorf("durable server missing its WAL or recovery info: %+v", rec)
 	}
 }
 
@@ -197,9 +196,8 @@ func TestRecoveryTornTail(t *testing.T) {
 	if got := listing.Instances[0].Version; got != 1 {
 		t.Errorf("recovered to v%d, want v1 (torn v2 mutation discarded)", got)
 	}
-	p := srv2.Snapshot().Persist
-	if p.Recovery == nil || p.Recovery.TornBytes == 0 {
-		t.Errorf("torn tail not reported in recovery stats: %+v", p.Recovery)
+	if rec, _ := srv2.Recovery(); rec == nil || rec.TornBytes == 0 {
+		t.Errorf("torn tail not reported in recovery stats: %+v", rec)
 	}
 }
 
@@ -219,7 +217,7 @@ func TestCompactionBoundsReplay(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if p := srv.Snapshot().Persist; p.Log != nil && p.Log.Compactions >= 1 {
+		if srv.walStats().Compactions >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -238,9 +236,8 @@ func TestCompactionBoundsReplay(t *testing.T) {
 	if got := getRaw(t, ts2.Client(), ts2.URL+"/instances"); string(got) != string(listing) {
 		t.Errorf("listing drifted across snapshot recovery:\n before: %s\n after:  %s", listing, got)
 	}
-	p := srv2.Snapshot().Persist
-	if p.Recovery == nil || p.Recovery.SnapshotSeq == 0 {
-		t.Errorf("recovery did not use the snapshot: %+v", p.Recovery)
+	if rec, _ := srv2.Recovery(); rec == nil || rec.SnapshotSeq == 0 {
+		t.Errorf("recovery did not use the snapshot: %+v", rec)
 	}
 }
 
@@ -265,7 +262,7 @@ func TestBootCompactsReplayedBacklog(t *testing.T) {
 	defer stop2()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if p := srv2.Snapshot().Persist; p.Log != nil && p.Log.Compactions >= 1 {
+		if srv2.walStats().Compactions >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -369,13 +366,18 @@ func TestJobRestoreSubmitRecords(t *testing.T) {
 }
 
 // TestMemoryOnlyUnchanged pins the default: no -data-dir means no WAL, no
-// files, and the persist stats say so.
+// files, and the persist metrics say so.
 func TestMemoryOnlyUnchanged(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, Queue: 4})
 	c := ts.Client()
 	do(t, c, "PUT", ts.URL+"/instances/a", testInstanceJSON(t, 3, 20, 1), http.StatusCreated, nil)
-	if p := srv.Snapshot().Persist; p.Enabled || p.Log != nil || p.Recovery != nil {
-		t.Errorf("memory-only server reports persistence: %+v", p)
+	if rec, _ := srv.Recovery(); srv.wal != nil || rec != nil {
+		t.Errorf("memory-only server reports persistence: wal %v, recovery %+v", srv.wal, rec)
+	}
+	vals := registryValues(t, srv)
+	if vals["sesd_wal_enabled"] != 0 || vals["sesd_wal_appends_total"] != 0 {
+		t.Errorf("memory-only server reports WAL activity: enabled %v, appends %v",
+			vals["sesd_wal_enabled"], vals["sesd_wal_appends_total"])
 	}
 }
 

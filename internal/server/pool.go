@@ -159,29 +159,3 @@ func (p *Pool) Close() {
 	p.closeMu.Unlock()
 	p.wg.Wait()
 }
-
-// PoolStats is a point-in-time view of the pool, reported by /stats.
-type PoolStats struct {
-	Workers       int   `json:"workers"`
-	QueueCapacity int   `json:"queue_capacity"`
-	QueueDepth    int   `json:"queue_depth"`
-	Active        int64 `json:"active"`
-	Completed     int64 `json:"completed"`
-	Rejected      int64 `json:"rejected"`
-	Skipped       int64 `json:"skipped"`
-	Panics        int64 `json:"panics"`
-}
-
-// Stats samples the pool counters.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Workers:       p.workers,
-		QueueCapacity: cap(p.jobs),
-		QueueDepth:    len(p.jobs),
-		Active:        p.active.Load(),
-		Completed:     p.completed.Load(),
-		Rejected:      p.rejected.Load(),
-		Skipped:       p.skipped.Load(),
-		Panics:        p.panics.Load(),
-	}
-}

@@ -53,7 +53,7 @@ func TestPoolQueueWaitSkipsDeadJobs(t *testing.T) {
 	if got := p.queueWait.Count() - base; got != 1 {
 		t.Errorf("queue wait observed %d jobs, want 1 (executed only)", got)
 	}
-	if st := p.Stats(); st.Skipped != 2 {
-		t.Errorf("skipped = %d, want 2", st.Skipped)
+	if got := p.skipped.Load(); got != 2 {
+		t.Errorf("skipped = %d, want 2", got)
 	}
 }

@@ -111,15 +111,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// routes names every endpoint once: the /stats request counters and the mux
-// registration both iterate it, so the two cannot drift apart.
-var routes = []string{
-	"healthz", "stats", "metrics", "list_instances", "put_instance",
-	"get_instance", "delete_instance", "mutate_instance", "solve", "extend",
-	"simulate", "summarize", "submit_job", "get_job", "list_jobs",
-	"cancel_job", "mutate_batch", "subscribe", "debug_traces", "debug_trace",
-}
-
 // Server is the sesd HTTP service: store + pool + cache + async jobs behind
 // a ServeMux.
 type Server struct {
@@ -133,7 +124,6 @@ type Server struct {
 	mux     *http.ServeMux
 
 	started time.Time
-	counts  map[string]*atomic.Int64
 
 	// Observability (built by initMetrics before any traffic). The registry
 	// holds every instrument; the named fields are the write-path handles the
@@ -149,8 +139,6 @@ type Server struct {
 	httpInFlight       *metrics.Gauge
 	scoreSink          *score.Sink
 	persistM           *persist.Metrics
-	ridPrefix          string
-	reqSeq             atomic.Int64
 
 	// Request tracing: every request gets a span tree (see instrument);
 	// completed traces land in the bounded ring behind GET /debug/traces,
@@ -207,14 +195,12 @@ func New(cfg Config) (*Server, error) {
 		subs:    newSubHub(),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
-		counts:  make(map[string]*atomic.Int64, len(routes)),
 		logger:  cfg.Logger,
 		traces:  span.NewStore(cfg.TraceStore),
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.ridPrefix = fmt.Sprintf("%08x", uint32(time.Now().UnixNano()))
 	// Staleness oracles: both caches refuse inserts for versions that are no
 	// longer the store's live version, closing the PATCH-races-solve window
 	// where a dead version's entry could re-enter after its invalidation.
@@ -234,9 +220,6 @@ func New(cfg Config) (*Server, error) {
 			s.engines.close()
 			return nil, err
 		}
-	}
-	for _, r := range routes {
-		s.counts[r] = new(atomic.Int64)
 	}
 	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.Handle("GET /stats", s.instrument("stats", s.handleStats))
@@ -275,50 +258,6 @@ func (s *Server) Close() {
 	s.pool.Close()
 	s.engines.close()
 	s.closePersistence()
-}
-
-// count bumps the request counter of the named route.
-func (s *Server) count(route string) { s.counts[route].Add(1) }
-
-// Stats is the /stats response body.
-type Stats struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Instances     int              `json:"instances"`
-	Requests      map[string]int64 `json:"requests"`
-	Cache         CacheStats       `json:"cache"`
-	Pool          PoolStats        `json:"pool"`
-	Jobs          JobsStats        `json:"jobs"`
-	Engines       EngineCacheStats `json:"engines"`
-	Work          WorkStats        `json:"work"`
-	Persist       PersistStats     `json:"persist"`
-}
-
-// WorkStats totals the solver work executed since startup.
-type WorkStats struct {
-	ScoreEvals int64 `json:"score_evals"`
-	Examined   int64 `json:"examined"`
-}
-
-// Snapshot samples every service counter.
-func (s *Server) Snapshot() Stats {
-	req := make(map[string]int64, len(s.counts))
-	for name, c := range s.counts {
-		req[name] = c.Load()
-	}
-	return Stats{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Instances:     s.store.Len(),
-		Requests:      req,
-		Cache:         s.cache.Stats(),
-		Pool:          s.pool.Stats(),
-		Jobs:          s.jobs.Stats(),
-		Engines:       s.engines.stats(),
-		Persist:       s.persistStats(),
-		Work: WorkStats{
-			ScoreEvals: s.scoreEvals.Load(),
-			Examined:   s.examined.Load(),
-		},
-	}
 }
 
 // writeJSON writes v as a JSON response.

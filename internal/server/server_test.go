@@ -111,9 +111,9 @@ func TestLifecycle(t *testing.T) {
 	var otherSolve seio.SolveResponse
 	do(t, c, "POST", ts.URL+"/instances/other/solve", solveBody, http.StatusOK, &otherSolve)
 
-	statsAfterFirst := srv.Snapshot()
-	if statsAfterFirst.Cache.Hits != 0 {
-		t.Fatalf("unexpected cache hits before repeat: %+v", statsAfterFirst.Cache)
+	statsAfterFirst := registryValues(t, srv)
+	if h := statsAfterFirst["sesd_result_cache_hits_total"]; h != 0 {
+		t.Fatalf("unexpected cache hits before repeat: %v", h)
 	}
 
 	// The identical query must come from the cache: hit counter up, global
@@ -126,12 +126,13 @@ func TestLifecycle(t *testing.T) {
 	if repeat.Schedule.Utility != first.Schedule.Utility {
 		t.Fatalf("cached utility drifted: %v vs %v", repeat.Schedule.Utility, first.Schedule.Utility)
 	}
-	statsAfterRepeat := srv.Snapshot()
-	if statsAfterRepeat.Cache.Hits != statsAfterFirst.Cache.Hits+1 {
-		t.Fatalf("cache hits %d, want %d", statsAfterRepeat.Cache.Hits, statsAfterFirst.Cache.Hits+1)
+	statsAfterRepeat := registryValues(t, srv)
+	const hits, evals = "sesd_result_cache_hits_total", "sesd_solve_score_evals_total"
+	if statsAfterRepeat[hits] != statsAfterFirst[hits]+1 {
+		t.Fatalf("cache hits %v, want %v", statsAfterRepeat[hits], statsAfterFirst[hits]+1)
 	}
-	if statsAfterRepeat.Work.ScoreEvals != statsAfterFirst.Work.ScoreEvals {
-		t.Fatalf("cached solve did scorer work: %d → %d", statsAfterFirst.Work.ScoreEvals, statsAfterRepeat.Work.ScoreEvals)
+	if statsAfterRepeat[evals] != statsAfterFirst[evals] {
+		t.Fatalf("cached solve did scorer work: %v → %v", statsAfterFirst[evals], statsAfterRepeat[evals])
 	}
 
 	// Extend the solved schedule by one more event.
@@ -192,19 +193,21 @@ func TestLifecycle(t *testing.T) {
 	}
 
 	// Stats reflect the traffic.
-	var stats Stats
+	var stats map[string]float64
 	do(t, c, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
-	if stats.Instances != 2 {
-		t.Errorf("stats report %d instances, want 2", stats.Instances)
+	if n := stats["sesd_instances"]; n != 2 {
+		t.Errorf("stats report %v instances, want 2", n)
 	}
-	if stats.Requests["solve"] != 5 {
-		t.Errorf("stats report %d solves, want 5", stats.Requests["solve"])
+	if n := stats[`sesd_http_requests_total{route="solve",code="200"}`]; n != 5 {
+		t.Errorf("stats report %v solves, want 5", n)
 	}
-	if stats.Cache.Hits != 2 || stats.Cache.Invalidations == 0 {
-		t.Errorf("unexpected cache stats: %+v", stats.Cache)
+	if stats["sesd_result_cache_hits_total"] != 2 || stats["sesd_result_cache_invalidations_total"] == 0 {
+		t.Errorf("unexpected cache stats: %v hits, %v invalidations",
+			stats["sesd_result_cache_hits_total"], stats["sesd_result_cache_invalidations_total"])
 	}
-	if stats.Pool.Completed == 0 || stats.Pool.Workers != 2 {
-		t.Errorf("unexpected pool stats: %+v", stats.Pool)
+	if stats["sesd_pool_jobs_completed_total"] == 0 || stats["sesd_pool_workers"] != 2 {
+		t.Errorf("unexpected pool stats: %v completed, %v workers",
+			stats["sesd_pool_jobs_completed_total"], stats["sesd_pool_workers"])
 	}
 
 	// Lifecycle tail: list, get, delete.
@@ -323,7 +326,7 @@ func TestBackpressure(t *testing.T) {
 	// Once unblocked, the same request succeeds.
 	do(t, c, "POST", ts.URL+"/instances/x/solve",
 		jsonBody(t, seio.SolveRequest{K: 2}), http.StatusOK, &seio.SolveResponse{})
-	if got := srv.pool.Stats().Rejected; got != 1 {
+	if got := srv.pool.rejected.Load(); got != 1 {
 		t.Errorf("pool rejected %d, want 1", got)
 	}
 }

@@ -38,8 +38,8 @@ func TestCachePutStaleDrop(t *testing.T) {
 	if _, ok := cache.Get(mk("x", 2)); !ok {
 		t.Fatal("live-version insert was dropped")
 	}
-	if st := cache.Stats(); st.StaleDrops != 3 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 3 stale drops and 1 entry", st)
+	if drops, n := cache.staleDrops.Load(), cache.Len(); drops != 3 || n != 1 {
+		t.Fatalf("%d stale drops and %d entries, want 3 and 1", drops, n)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestCacheInvalidationRace(t *testing.T) {
 		}
 	}
 	cache.mu.Unlock()
-	if cache.Stats().StaleDrops == 0 {
+	if cache.staleDrops.Load() == 0 {
 		t.Log("race produced no stale drops this run (timing-dependent)")
 	}
 }
@@ -178,8 +178,8 @@ func TestEngineCacheStaleDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
-	if st := ec.stats(); st.Engines != 1 || st.StaleDrops != 0 {
-		t.Fatalf("live acquire: %+v", st)
+	if n, drops := ec.len(), ec.staleDrops.Load(); n != 1 || drops != 0 {
+		t.Fatalf("live acquire: %d engines, %d stale drops", n, drops)
 	}
 
 	// The store moves on; an acquire still pinned to the dead version gets a
@@ -199,8 +199,8 @@ func TestEngineCacheStaleDrop(t *testing.T) {
 	s := core.NewSchedule(inst)
 	_ = en2.Score(s, 0, 0)
 	rel2()
-	if st := ec.stats(); st.Engines != 0 || st.StaleDrops != 1 {
-		t.Fatalf("stale acquire: %+v", st)
+	if n, drops := ec.len(), ec.staleDrops.Load(); n != 0 || drops != 1 {
+		t.Fatalf("stale acquire: %d engines, %d stale drops", n, drops)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 	}
 	rel()
 	ec.retire("a", 2, core.ScorerDelta{Events: []int{0}})
-	if n := ec.stats().Engines; n != 1 {
+	if n := ec.len(); n != 1 {
 		t.Fatalf("retire dropped a warmable engine (engines=%d)", n)
 	}
 
@@ -229,12 +229,11 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 	if !warm {
 		t.Error("warm delta rebuild not reported as reused")
 	}
-	st := ec.stats()
-	if st.WarmBuilds != 1 {
-		t.Fatalf("acquire after retire: %+v, want 1 warm build", st)
+	if wb := ec.warmBuilds.Load(); wb != 1 {
+		t.Fatalf("acquire after retire: %d warm builds, want 1", wb)
 	}
-	if st.Engines != 1 {
-		t.Fatalf("warm source not superseded: %d engines cached", st.Engines)
+	if n := ec.len(); n != 1 {
+		t.Fatalf("warm source not superseded: %d engines cached", n)
 	}
 	if _, ok := ec.m[engineKey{name: "a", version: 1}]; ok {
 		t.Fatal("superseded version-1 entry still mapped")
@@ -247,7 +246,7 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 		big[i] = i
 	}
 	ec.retire("a", 3, core.ScorerDelta{Events: big})
-	if n := ec.stats().Engines; n != 0 {
+	if n := ec.len(); n != 0 {
 		t.Fatalf("too-dirty retire kept %d engines", n)
 	}
 
@@ -259,7 +258,7 @@ func TestEngineCacheRetireWarm(t *testing.T) {
 	}
 	rel3()
 	ec.retire("a", 9, core.ScorerDelta{Events: []int{1}})
-	if n := ec.stats().Engines; n != 0 {
+	if n := ec.len(); n != 0 {
 		t.Fatalf("gap retire kept %d engines", n)
 	}
 }
@@ -318,7 +317,7 @@ func TestEngineCacheRace(t *testing.T) {
 	s := core.NewSchedule(inst)
 	_ = en.Score(s, 0, 0)
 	rel()
-	if n := ec.stats().Engines; n > 3 {
+	if n := ec.len(); n > 3 {
 		t.Fatalf("cache grew past capacity: %d", n)
 	}
 }

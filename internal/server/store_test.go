@@ -62,7 +62,7 @@ func TestPoolSurvivesPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done // the single worker survived the panic and ran the next job
-	if got := p.Stats().Panics; got != 1 {
+	if got := p.panics.Load(); got != 1 {
 		t.Errorf("panics counter %d, want 1", got)
 	}
 }

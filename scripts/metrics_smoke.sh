@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Metrics smoke test: boot a race-enabled sesd, scrape /metrics cold, drive a
-# mixed workload (uploads, solves, a cache hit, PATCH mutations, a timed
+# mixed workload (uploads, solves, a cache hit, PATCH mutations, a traced
 # solve), scrape again, and assert the counters that correspond to that
-# traffic actually moved. Also checks the /healthz JSON shape, the timed
-# solve's stage breakdown, and the pprof listener. Run by CI; runnable
+# traffic actually moved. Also checks the /healthz JSON shape, the traced
+# solve's stages at /debug/traces, traceparent propagation into the JSON
+# access log, and the pprof listener. Run by CI; runnable
 # locally: ./scripts/metrics_smoke.sh
 set -euo pipefail
 
@@ -90,17 +91,30 @@ curl -sf -X POST -d '{"algorithm":"HOR-I","k":3}' "$BASE/instances/alpha/solve" 
 # Same request again: a result-cache hit.
 curl -sf -X POST -d '{"algorithm":"HOR-I","k":3}' "$BASE/instances/alpha/solve" >/dev/null
 curl -sf -X PATCH -d '{"interest":[{"user":2,"index":1,"value":0.4}]}' "$BASE/instances/alpha" >/dev/null
-# The PATCH invalidated the cache; this solve recomputes, and asks for the
-# per-stage breakdown.
-curl -sf -X POST -d '{"algorithm":"HOR-I","k":3,"timings":true}' \
+# The PATCH invalidated the cache; this solve recomputes under a caller's
+# traceparent, and its stored trace holds the per-stage breakdown.
+TID="4bf92f3577b34da6a3ce929d0e0e4736"
+curl -sf -D "$WORK/timed.headers" -H "traceparent: 00-$TID-00f067aa0ba902b7-01" \
+  -X POST -d '{"algorithm":"HOR-I","k":3}' \
   "$BASE/instances/alpha/solve" > "$WORK/timed.json"
-jq -e '[.stage_timings[].stage] == ["engine_acquire","score","select","encode"]' \
-  "$WORK/timed.json" >/dev/null || {
-  echo "timed solve missing the four-stage breakdown:" >&2
-  jq .stage_timings "$WORK/timed.json" >&2
+jq -e --arg tid "$TID" '.trace_id == $tid' "$WORK/timed.json" >/dev/null || {
+  echo "solve did not adopt the caller's trace:" >&2
+  jq .trace_id "$WORK/timed.json" >&2
   exit 1
 }
-curl -sf "$BASE/stats" >/dev/null
+curl -sf "$BASE/debug/traces/$TID" > "$WORK/timed.trace.json"
+jq -e '[.root.children[].name | select(. != "queue")] == ["engine_acquire","score","select","encode"]' \
+  "$WORK/timed.trace.json" >/dev/null || {
+  echo "solve trace missing the four-stage breakdown:" >&2
+  jq '[.root.children[].name]' "$WORK/timed.trace.json" >&2
+  exit 1
+}
+curl -sf "$BASE/stats" > "$WORK/stats.json"
+jq -e 'type == "object" and .sesd_result_cache_hits_total >= 1' "$WORK/stats.json" >/dev/null || {
+  echo "/stats is not the flat registry view:" >&2
+  head -c 2000 "$WORK/stats.json" >&2
+  exit 1
+}
 
 echo "== warm scrape: the workload's counters must have moved =="
 curl -sf "$BASE/metrics" > "$WORK/after.txt"
@@ -118,16 +132,16 @@ moved sesd_pool_jobs_completed_total "$WORK/before.txt" "$WORK/after.txt"
 moved sesd_pool_queue_wait_seconds_count "$WORK/before.txt" "$WORK/after.txt"
 moved sesd_solve_score_evals_total "$WORK/before.txt" "$WORK/after.txt"
 
-echo "== request IDs: minted when absent, echoed when supplied =="
-rid="$(curl -sf -D - -o /dev/null "$BASE/stats" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
-[ -n "$rid" ] || { echo "no X-Request-ID minted" >&2; exit 1; }
-echoed="$(curl -sf -D - -o /dev/null -H 'X-Request-ID: smoke-42' "$BASE/stats" \
-  | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
-[ "$echoed" = "smoke-42" ] || { echo "X-Request-ID not echoed: $echoed" >&2; exit 1; }
+echo "== trace IDs: the caller's traceparent is echoed =="
+grep -qi "^traceparent: 00-$TID-" "$WORK/timed.headers" || {
+  echo "response did not echo the caller's trace:" >&2
+  cat "$WORK/timed.headers" >&2
+  exit 1
+}
 
-echo "== structured logs: JSON access lines with the request id =="
-grep -q '"request_id":"smoke-42"' "$WORK/sesd.log" || {
-  echo "JSON log is missing the caller-supplied request id" >&2
+echo "== structured logs: JSON access lines with the trace id =="
+grep -q "\"trace_id\":\"$TID\"" "$WORK/sesd.log" || {
+  echo "JSON log is missing the caller's trace id" >&2
   tail -5 "$WORK/sesd.log" >&2
   exit 1
 }

@@ -58,9 +58,9 @@ echo "== a caller-minted traceparent is adopted and echoed =="
 TP="00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 TID="0af7651916cd43dd8448eb211c80319c"
 # k=3 differs from the burst's solves, so this one misses the result cache
-# and actually runs (cached responses carry no stage timings by design).
+# and actually runs (a cached response's trace has no solve stages).
 curl -sf -D "$WORK/headers.txt" -H "traceparent: $TP" \
-  -X POST -d '{"algorithm":"HOR-I","k":3,"timings":true}' \
+  -X POST -d '{"algorithm":"HOR-I","k":3}' \
   "$BASE/instances/sesload/solve" > "$WORK/solve.json"
 grep -qi "^traceparent: 00-$TID-" "$WORK/headers.txt" || {
   echo "response did not echo the adopted trace:" >&2
@@ -68,8 +68,6 @@ grep -qi "^traceparent: 00-$TID-" "$WORK/headers.txt" || {
   exit 1
 }
 jq -e --arg tid "$TID" '.trace_id == $tid' "$WORK/solve.json" >/dev/null
-jq -e '[.stage_timings[].stage] == ["engine_acquire","score","select","encode"]' \
-  "$WORK/solve.json" >/dev/null
 
 echo "== the stored trace exposes the full solve span tree =="
 curl -sf "$BASE/debug/traces/$TID" > "$WORK/trace.json"
