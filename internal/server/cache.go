@@ -49,6 +49,15 @@ func optsFingerprint(userWeights, eventCosts []float64) uint64 {
 	return h.Sum64()
 }
 
+// seedKeyFor collapses the client seed for deterministic algorithms so they
+// share cache entries (and job cells hit the same entries as /solve).
+func seedKeyFor(algorithm string, seed uint64) uint64 {
+	if algorithm == "RAND" {
+		return seed
+	}
+	return 0
+}
+
 type cacheEntry struct {
 	key  cacheKey
 	resp seio.SolveResponse

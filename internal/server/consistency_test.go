@@ -287,6 +287,109 @@ func TestResponsePathsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheSharedAcrossRoutes: every route fills one result cache under one
+// key, so a subscribe push (cold, then warm after a PATCH) and a sweep cell
+// each answer a later HTTP solve of the same algorithm and k with cached:
+// true. The cached body is the filling run's own: a cell's result byte for
+// byte, and for a push its schedule and elapsed time over the body a fresh
+// solve of the same version returns.
+func TestCacheSharedAcrossRoutes(t *testing.T) {
+	doc := testInstanceJSON(t, 4, 60, 21)
+	_, ts := newTestServer(t, Config{Workers: 2, Queue: 8})
+	// ref holds the same versions and answers each query with its own solve.
+	_, ref := newTestServer(t, Config{Workers: 2, Queue: 8})
+	c := ts.Client()
+	for _, base := range []string{ts.URL, ref.URL} {
+		do(t, c, "PUT", base+"/instances/x", doc, http.StatusCreated, nil)
+	}
+	// canon re-encodes a solve response without the named fields, with sorted
+	// keys and no indentation.
+	canon := func(raw json.RawMessage, drop ...string) string {
+		t.Helper()
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range drop {
+			delete(m, k)
+		}
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	solve := func(base, algorithm string, k int, wantCached bool) (json.RawMessage, seio.SolveResponse) {
+		t.Helper()
+		var raw json.RawMessage
+		do(t, c, "POST", base+"/instances/x/solve",
+			jsonBody(t, seio.SolveRequest{Algorithm: algorithm, K: k}), http.StatusOK, &raw)
+		var sr seio.SolveResponse
+		if err := json.Unmarshal(raw, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Cached != wantCached {
+			t.Fatalf("%s %s k=%d: cached=%v, want %v", base, algorithm, k, sr.Cached, wantCached)
+		}
+		return raw, sr
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/instances/x/subscribe?algorithm=HOR-I&k=3", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	sc := bufio.NewScanner(stream.Body)
+	for version := uint64(1); version <= 2; version++ {
+		if version == 2 {
+			mut := jsonBody(t, seio.MutateRequest{Interest: []seio.CellUpdate{{User: 2, Index: 1, Value: 0.7}}})
+			for _, base := range []string{ts.URL, ref.URL} {
+				do(t, c, "PATCH", base+"/instances/x", mut, http.StatusOK, nil)
+			}
+		}
+		var push seio.ResolveEvent
+		if ev := readSSE(t, sc); ev.name != "resolve" || json.Unmarshal(ev.data, &push) != nil {
+			t.Fatalf("v%d: bad push %q %s", version, ev.name, ev.data)
+		}
+		if push.Instance.Version != version || push.Warm != (version > 1) {
+			t.Fatalf("push at version %d warm=%v, want version %d", push.Instance.Version, push.Warm, version)
+		}
+		got, sr := solve(ts.URL, "HOR-I", 3, true)
+		if sr.ElapsedMS != push.ElapsedMS || !bytes.Equal(jsonBody(t, sr.Schedule), jsonBody(t, push.Schedule)) {
+			t.Errorf("v%d: cached solve is not the push's result", version)
+		}
+		fresh, _ := solve(ref.URL, "HOR-I", 3, false)
+		if g, w := canon(got, "cached", "trace_id", "elapsed_ms"), canon(fresh, "cached", "trace_id", "elapsed_ms"); g != w {
+			t.Errorf("v%d: push-filled solve body\n%s\nwant\n%s", version, g, w)
+		}
+	}
+
+	var st struct {
+		Status string `json:"status"`
+		Cells  []struct {
+			Result json.RawMessage `json:"result"`
+		} `json:"cells"`
+	}
+	var sub seio.JobStatusMsg
+	do(t, c, "POST", ts.URL+"/instances/x/jobs",
+		jsonBody(t, seio.JobRequest{Algorithms: []string{"ALG"}, Ks: []int{2}}), http.StatusAccepted, &sub)
+	pollJob(t, c, ts.URL, sub.ID, 30*time.Second)
+	do(t, c, "GET", ts.URL+"/jobs/"+sub.ID, nil, http.StatusOK, &st)
+	if st.Status != seio.JobDone || len(st.Cells) != 1 || st.Cells[0].Result == nil {
+		t.Fatalf("sweep did not finish with one result: %+v", st)
+	}
+	got, _ := solve(ts.URL, "ALG", 2, true)
+	if g, w := canon(got, "cached", "trace_id"), canon(st.Cells[0].Result, "cached", "trace_id"); g != w {
+		t.Errorf("cell-filled solve body\n%s\nwant\n%s", g, w)
+	}
+}
+
 // TestSummarizeEvaluatesOnce: POST /summarize evaluates the schedule once and
 // renders its text from that evaluation, so Text and Schedule agree; the body
 // is byte-identical to the response assembled from an independent cold

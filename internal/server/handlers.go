@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics/span"
 	"repro/internal/persist"
-	"repro/internal/score"
 	"repro/internal/seio"
 	"repro/internal/sim"
 )
@@ -170,50 +169,41 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 }
 
-// runPooled submits work to the solver pool and waits for it or for the
-// client to go away. It writes the 429/backpressure responses itself and
-// reports whether the caller should write a response (false = already
-// handled or client gone).
-func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, run func()) bool {
-	done := make(chan struct{})
-	var panicked any
-	// The queue span measures enqueue-to-pickup. A rejected or skipped job
-	// never ends it; the trace snapshot clamps the open span to the trace
-	// end, which is exactly how long the request was stuck behind the queue.
-	qs := span.FromContext(r.Context()).Start("queue")
-	err := s.pool.Submit(r.Context(), func() {
-		qs.End()
-		defer close(done)
-		// A panicking solver must cost this request a 500, not the
-		// daemon its life (and with it the memory-only store).
-		defer func() { panicked = recover() }()
-		run()
+// runPooled runs work on the solver pool for an HTTP request and writes the
+// reply: 429 when the queue is full, 503 during shutdown, 500 for a panicked
+// run, 400 for a rejected one, and otherwise the run's body. A client that
+// went away gets nothing.
+func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, run func() (any, error)) {
+	var body any
+	err := runOnPool(r.Context(), s.pool.Submit, func() (err error) {
+		body, err = run()
+		return err
 	})
 	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, body)
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, err)
-		return false
 	case errors.Is(err, ErrPoolClosed):
 		writeErr(w, http.StatusServiceUnavailable, err)
-		return false
-	case err != nil: // request context already dead
-		return false
+	case errors.Is(err, errSolverPanicked):
+		writeErr(w, http.StatusInternalServerError, err)
+	case r.Context().Err() != nil:
+		// The client disconnected while the job was queued or running.
+	default:
+		writeErr(w, http.StatusBadRequest, err)
 	}
-	select {
-	case <-done:
-		if panicked != nil {
-			s.pool.panics.Add(1)
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("solver panicked: %v", panicked))
-			return false
-		}
-		return true
-	case <-r.Context().Done():
-		// The client disconnected while the job was queued or running;
-		// the worker (if it runs) writes into thin air harmlessly since
-		// the response writer is dead anyway.
-		return false
-	}
+}
+
+// solvePooled answers an HTTP solve or extend that missed the result cache:
+// q runs on the pool and its response names the request's own trace.
+func (s *Server) solvePooled(w http.ResponseWriter, r *http.Request, q solveRun) {
+	s.runPooled(w, r, func() (any, error) {
+		resp, _, err := s.solve(r.Context(), q)
+		resp.TraceID = span.FromContext(r.Context()).ID()
+		return resp, err
+	})
 }
 
 // handleSolve runs one of the paper's algorithms against the current
@@ -233,9 +223,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, algo.ErrBadK)
 		return
 	}
-	opts := core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts}
-	sched, err := algo.NewWithOptions(req.Algorithm, req.Seed, opts)
-	if err != nil {
+	if _, err := algo.New(req.Algorithm, 0); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -244,14 +232,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, storeErrCode(err), err)
 		return
 	}
-	key := cacheKey{
-		name:      name,
-		version:   info.Version,
-		algorithm: req.Algorithm,
-		k:         req.K,
-		seed:      seedKeyFor(req.Algorithm, req.Seed),
-		opts:      optsFingerprint(req.UserWeights, req.EventCosts),
-	}
+	q := newSolveRun(name, inst, info, req.Algorithm, req.K, req.Seed,
+		core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts})
 	// The request trace was minted by the instrument middleware and rides the
 	// request context into the pool and the scoring engine, which books
 	// batched-scoring time against it. Every span call is nil-safe, so
@@ -259,96 +241,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tr := span.FromContext(r.Context())
 	tr.Annotate("instance", name)
 	tr.Annotate("algorithm", req.Algorithm)
-	if resp, ok := s.cache.Get(key); ok {
-		resp.Cached = true
+	if resp, ok := s.cached(q); ok {
 		resp.TraceID = tr.ID()
 		tr.Annotate("cache", "hit")
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	var (
-		resp   seio.SolveResponse
-		slvErr error
-	)
-	if !s.runPooled(w, r, func() {
-		// Solves of one instance version share one scoring engine: the
-		// dense precompute and (with ScoreWorkers) the scoring worker set
-		// are paid once per version, not per request.
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version, opts: key.opts}, inst, opts)
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			slvErr = err
-			return
-		}
-		defer releaseEngine()
-		// The request's context rides into the solver: a client that
-		// disconnects mid-solve frees its worker at the next periodic
-		// cancellation check instead of holding it to completion.
-		res, err := algo.WithEngine(sched, en).ScheduleCtx(r.Context(), inst, req.K)
-		if err != nil {
-			slvErr = err
-			return
-		}
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		enc := tr.Start("encode")
-		msg := scheduleMsg(en, res)
-		enc.End()
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  req.Algorithm,
-			K:          req.K,
-			Schedule:   msg,
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-		}
-		// Cache and log the response WITHOUT the trace ID: a cached or
-		// replayed response must not present another run's identity as its own.
-		s.cache.Put(key, resp)
-		s.appendSolveRecord(key, resp)
-		resp.TraceID = tr.ID()
-	}) {
-		return
-	}
-	if slvErr != nil {
-		writeErr(w, http.StatusBadRequest, slvErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// bookSelect books the "select" aggregate against the trace: the remainder of
-// the solver's elapsed time after batched frontier scoring (candidate
-// enumeration, argmax selection, and any scoring done outside batched calls).
-// Clamped at zero because parallel scoring can book more stage time than wall
-// time.
-func bookSelect(tr *span.Trace, solveElapsed time.Duration) {
-	selectD := solveElapsed - tr.Get("score")
-	if selectD < 0 {
-		selectD = 0
-	}
-	tr.Add("select", selectD)
-}
-
-// scheduleMsg builds a solved schedule's wire message from the engine that
-// produced it — the one response encoding of solve, extend, subscribe pushes
-// and sweep cells. Messages report the plain Eq. 2/Eq. 3 values, so it
-// evaluates on the engine scorer's plain view and reuses the solve's utility
-// (algo.Result.Utility is en.Utility) whenever that view is the scorer
-// itself; only a weighted or costed engine pays a plain Utility pass.
-func scheduleMsg(en *score.Engine, res *algo.Result) seio.ScheduleMsg {
-	sc := en.Scorer()
-	plain := sc.Plain()
-	utility := res.Utility
-	if plain != sc {
-		utility = plain.Utility(res.Schedule)
-	}
-	return seio.ScheduleMsgFrom(plain, res.Schedule, utility)
+	s.solvePooled(w, r, q)
 }
 
 // handleExtend grows a client-provided base schedule by extra greedy
@@ -376,55 +275,13 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	opts := core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts}
+	q := newSolveRun(name, inst, info, "EXTEND", req.Extra, 0,
+		core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts})
+	q.base = base
 	tr := span.FromContext(r.Context())
 	tr.Annotate("instance", name)
 	tr.Annotate("algorithm", "EXTEND")
-	var (
-		resp   seio.SolveResponse
-		extErr error
-	)
-	if !s.runPooled(w, r, func() {
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version, opts: optsFingerprint(req.UserWeights, req.EventCosts)},
-			inst, opts)
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			extErr = err
-			return
-		}
-		defer releaseEngine()
-		res, err := algo.ExtendWithEngine(r.Context(), en, base, req.Extra)
-		if err != nil {
-			extErr = err
-			return
-		}
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		enc := tr.Start("encode")
-		msg := scheduleMsg(en, res)
-		enc.End()
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  "EXTEND",
-			K:          req.Extra,
-			Schedule:   msg,
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-			TraceID:    tr.ID(),
-		}
-	}) {
-		return
-	}
-	if extErr != nil {
-		writeErr(w, http.StatusBadRequest, extErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.solvePooled(w, r, q)
 }
 
 // handleSimulate Monte-Carlo-validates a schedule against the analytic
@@ -449,22 +306,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var (
-		resp   seio.SimulateResponse
-		simErr error
-	)
-	if !s.runPooled(w, r, func() {
+	s.runPooled(w, r, func() (any, error) {
 		res, err := sim.Simulate(inst, schedule, req.Trials, req.Seed)
 		if err != nil {
-			simErr = err
-			return
+			return nil, err
 		}
 		analytic := core.NewScorer(inst).Utility(schedule)
 		relErr := 0.0
 		if analytic > 0 {
 			relErr = (res.MeanTotal - analytic) / analytic
 		}
-		resp = seio.SimulateResponse{
+		return seio.SimulateResponse{
 			Instance:       info,
 			Trials:         req.Trials,
 			Analytic:       analytic,
@@ -472,15 +324,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			RelErr:         relErr,
 			CompetingTotal: res.CompetingTotal,
 			PerEvent:       res.PerEvent,
-		}
-	}) {
-		return
-	}
-	if simErr != nil {
-		writeErr(w, http.StatusBadRequest, simErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+		}, nil
+	})
 }
 
 // handleSummarize re-evaluates a schedule against the instance's current

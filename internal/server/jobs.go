@@ -36,14 +36,13 @@ type jobCell struct {
 // which is what makes its cells bitwise-identical to synchronous solves of
 // the same version.
 type Job struct {
-	id     string
-	seq    uint64 // numeric ID sequence value, logged for recovery
-	name   string
-	inst   *core.Instance
-	info   seio.InstanceInfo
-	seed   uint64
-	opts   core.ScorerOptions
-	optsFP uint64
+	id   string
+	seq  uint64 // numeric ID sequence value, logged for recovery
+	name string
+	inst *core.Instance
+	info seio.InstanceInfo
+	seed uint64
+	opts core.ScorerOptions
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -481,15 +480,6 @@ func (js *Jobs) retained() int {
 	return len(js.m)
 }
 
-// seedKeyFor collapses the client seed for deterministic algorithms so they
-// share cache entries (and job cells hit the same entries as /solve).
-func seedKeyFor(algorithm string, seed uint64) uint64 {
-	if algorithm == "RAND" {
-		return seed
-	}
-	return 0
-}
-
 // handleSubmitJob validates and registers a sweep job, then starts its
 // dispatcher. The response is the job's initial status (202 Accepted).
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -515,7 +505,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.ScorerOptions{UserWeights: req.UserWeights, EventCost: req.EventCosts}
 	for _, a := range algos {
-		if _, err := algo.NewWithOptions(a, req.Seed, opts); err != nil {
+		if _, err := algo.New(a, 0); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -544,7 +534,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		info:    info,
 		seed:    req.Seed,
 		opts:    opts,
-		optsFP:  optsFingerprint(req.UserWeights, req.EventCosts),
 		ctx:     ctx,
 		cancel:  cancel,
 		js:      s.jobs,
@@ -606,28 +595,9 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	if !j.begin(c) {
 		return // a cancellation sweep claimed the cell first
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.pool.panics.Add(1)
-			j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, fmt.Errorf("solver panicked: %v", r))
-		}
-	}()
-	key := cacheKey{
-		name:      j.name,
-		version:   j.info.Version,
-		algorithm: c.algorithm,
-		k:         c.k,
-		seed:      seedKeyFor(c.algorithm, j.seed),
-		opts:      j.optsFP,
-	}
-	if resp, ok := s.cache.Get(key); ok {
-		resp.Cached = true
+	q := newSolveRun(j.name, j.inst, j.info, c.algorithm, c.k, j.seed, j.opts)
+	if resp, ok := s.cached(q); ok {
 		j.finishCell(c, seio.CellDone, resp, nil)
-		return
-	}
-	sched, err := algo.NewWithOptions(c.algorithm, j.seed, j.opts)
-	if err != nil {
-		j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, err)
 		return
 	}
 	// Sweep cells run far from their submitting request, so each actually
@@ -641,45 +611,15 @@ func (s *Server) runJobCell(j *Job, c *jobCell) {
 	defer s.recordTrace(tr)
 	// Every cell of the sweep runs against the job's pinned version, so all
 	// of them (and any concurrent solves of that version) share one engine.
-	acq := tr.Start("engine_acquire")
-	en, releaseEngine, reused, err := s.engines.acquire(
-		engineKey{name: j.name, version: j.info.Version, opts: j.optsFP}, j.inst, j.opts)
-	acq.Annotate("engine", engineTemp(reused))
-	acq.End()
-	if err != nil {
-		j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, err)
-		return
-	}
-	defer releaseEngine()
-	res, err := algo.WithEngine(sched, en).ScheduleCtx(span.NewContext(j.ctx, tr), j.inst, c.k)
+	resp, _, err := s.solve(span.NewContext(j.ctx, tr), q)
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finishCell(c, seio.CellCancelled, seio.SolveResponse{}, err)
-		return
 	case err != nil:
 		j.finishCell(c, seio.CellFailed, seio.SolveResponse{}, err)
-		return
+	default:
+		j.finishCell(c, seio.CellDone, resp, nil)
 	}
-	s.scoreEvals.Add(res.ScoreEvals)
-	s.examined.Add(res.Examined)
-	bookSelect(tr, res.Elapsed)
-	enc := tr.Start("encode")
-	msg := scheduleMsg(en, res)
-	enc.End()
-	resp := seio.SolveResponse{
-		Instance:   j.info,
-		Algorithm:  c.algorithm,
-		K:          c.k,
-		Schedule:   msg,
-		ScoreEvals: res.ScoreEvals,
-		Examined:   res.Examined,
-		ElapsedMS:  seio.DurationMS(res.Elapsed),
-	}
-	wal := tr.Start("wal_append")
-	s.cache.Put(key, resp)
-	s.appendSolveRecord(key, resp)
-	wal.End()
-	j.finishCell(c, seio.CellDone, resp, nil)
 }
 
 // handleGetJob returns the job's full status including the per-cell partial

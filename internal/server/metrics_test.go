@@ -139,8 +139,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 }
 
 // TestSolveTraceStages: a solve's trace carries the per-stage breakdown as
-// the root's children (queue, then engine_acquire, score, select, encode, none
-// negative); a cache hit ran none of them; an extend books the same stages.
+// the root's children, the same stages a subscribe push books (queue, then
+// engine_acquire, score, select, encode, wal_append, none negative); a cache
+// hit ran none of them; an extend, which is never cached, books them all but
+// wal_append.
 func TestSolveTraceStages(t *testing.T) {
 	s, err := New(Config{Workers: 1, Queue: 4})
 	if err != nil {
@@ -165,13 +167,12 @@ func TestSolveTraceStages(t *testing.T) {
 		}
 		return names
 	}
-	want := []string{"queue", "engine_acquire", "score", "select", "encode"}
 
 	var solved seio.SolveResponse
 	do(t, c, "POST", ts.URL+"/instances/x/solve",
 		jsonBody(t, seio.SolveRequest{Algorithm: "HOR-I", K: 4}), http.StatusOK, &solved)
-	if got := stages(solved.TraceID); !slices.Equal(got, want) {
-		t.Fatalf("solve stages = %v, want %v", got, want)
+	if got := stages(solved.TraceID); !slices.Equal(got, pushStages) {
+		t.Fatalf("solve stages = %v, want %v", got, pushStages)
 	}
 
 	// A cache hit repeats the result but runs no stage.
@@ -188,6 +189,7 @@ func TestSolveTraceStages(t *testing.T) {
 	var ext seio.SolveResponse
 	do(t, c, "POST", ts.URL+"/instances/x/extend",
 		jsonBody(t, seio.ExtendRequest{Base: solved.Schedule.Assignments, Extra: 2}), http.StatusOK, &ext)
+	want := pushStages[:len(pushStages)-1]
 	if got := stages(ext.TraceID); !slices.Equal(got, want) {
 		t.Errorf("extend stages = %v, want %v", got, want)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/metrics"
@@ -55,5 +56,30 @@ func TestPoolQueueWaitSkipsDeadJobs(t *testing.T) {
 	}
 	if got := p.skipped.Load(); got != 2 {
 		t.Errorf("skipped = %d, want 2", got)
+	}
+}
+
+// TestSolvePanicsBecomeErrors: a panic on the solve path fails its run with
+// errSolverPanicked, counted once, and a job that panics into the pool's
+// backstop reports the same error to the caller waiting on it.
+func TestSolvePanicsBecomeErrors(t *testing.T) {
+	s, err := New(Config{Workers: 1, Queue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	// A run pinned to no instance panics inside the engine build.
+	if _, _, err := s.solve(ctx, solveRun{}); !errors.Is(err, errSolverPanicked) {
+		t.Fatalf("solve of no instance: %v, want errSolverPanicked", err)
+	}
+	if got := s.pool.panics.Load(); got != 1 {
+		t.Errorf("panics counter %d after the solve, want 1", got)
+	}
+	if err := runOnPool(ctx, s.pool.Submit, func() error { panic("boom") }); !errors.Is(err, errSolverPanicked) {
+		t.Fatalf("panicking job: %v, want errSolverPanicked", err)
+	}
+	if got := s.pool.panics.Load(); got != 2 {
+		t.Errorf("panics counter %d after the backstop, want 2", got)
 	}
 }

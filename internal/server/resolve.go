@@ -129,27 +129,20 @@ func (s *Server) handleMutateBatch(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 }
 
-// resolveCurrent solves the instance's CURRENT version with the
-// incremental path: result-cache fast path first, then a pooled run on the
-// engine-cache's engine for that version — a warm delta rebuild when the
-// preceding mutation retired one. The bool reports whether the answer reused
-// prior state (cache hit, engine hit, or warm rebuild) versus a cold build.
-// Output and counters are bit-identical to a cold solve either way; only the
-// latency differs, which is what sesd_resolve_duration_seconds measures.
+// resolveCurrent solves the instance's CURRENT version for a subscribe push:
+// result-cache fast path first, then the pooled solve on the engine-cache's
+// engine for that version — a warm delta rebuild when the preceding mutation
+// retired one. The bool reports whether the answer reused prior state (cache
+// hit, engine hit, or warm rebuild) versus a cold build. Output and counters
+// are bit-identical to a cold solve either way; only the latency differs,
+// which is what sesd_resolve_duration_seconds measures.
 func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k int, seed uint64) (seio.SolveResponse, bool, error) {
 	inst, info, err := s.store.Get(name)
 	if err != nil {
 		return seio.SolveResponse{}, false, err
 	}
-	key := cacheKey{
-		name:      name,
-		version:   info.Version,
-		algorithm: algorithm,
-		k:         k,
-		seed:      seedKeyFor(algorithm, seed),
-	}
-	if resp, ok := s.cache.Get(key); ok {
-		resp.Cached = true
+	q := newSolveRun(name, inst, info, algorithm, k, seed, core.ScorerOptions{})
+	if resp, ok := s.cached(q); ok {
 		return resp, true, nil
 	}
 	// Subscribe pushes run outside any HTTP request trace (the SSE request's
@@ -163,77 +156,17 @@ func (s *Server) resolveCurrent(ctx context.Context, name, algorithm string, k i
 	defer s.recordTrace(tr)
 	ctx = span.NewContext(ctx, tr)
 	var (
-		resp   seio.SolveResponse
-		warm   bool
-		slvErr error
+		resp seio.SolveResponse
+		warm bool
 	)
 	start := time.Now()
-	done := make(chan struct{})
-	qs := tr.Start("queue")
 	// SubmitWait, not Submit: the subscribe loop owns a goroutine and wants
 	// the queue's backpressure to pace its re-solves, not fail them.
-	err = s.pool.SubmitWait(ctx, func() {
-		qs.End()
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				s.pool.panics.Add(1)
-				slvErr = fmt.Errorf("solver panicked: %v", r)
-			}
-		}()
-		acq := tr.Start("engine_acquire")
-		en, releaseEngine, reused, err := s.engines.acquire(
-			engineKey{name: name, version: info.Version}, inst, core.ScorerOptions{})
-		acq.Annotate("engine", engineTemp(reused))
-		acq.End()
-		if err != nil {
-			slvErr = err
-			return
-		}
-		defer releaseEngine()
-		sched, err := algo.NewWithEngine(algorithm, seed, en)
-		if err != nil {
-			slvErr = err
-			return
-		}
-		res, err := sched.ScheduleCtx(ctx, en.Instance(), k)
-		if err != nil {
-			slvErr = err
-			return
-		}
-		warm = reused
-		s.scoreEvals.Add(res.ScoreEvals)
-		s.examined.Add(res.Examined)
-		bookSelect(tr, res.Elapsed)
-		enc := tr.Start("encode")
-		msg := scheduleMsg(en, res)
-		enc.End()
-		resp = seio.SolveResponse{
-			Instance:   info,
-			Algorithm:  algorithm,
-			K:          k,
-			Schedule:   msg,
-			ScoreEvals: res.ScoreEvals,
-			Examined:   res.Examined,
-			ElapsedMS:  seio.DurationMS(res.Elapsed),
-		}
-		// A warm solve is bit-identical to a cold one, so the result is a
-		// first-class citizen of the result cache and the solve WAL.
-		wal := tr.Start("wal_append")
-		s.cache.Put(key, resp)
-		s.appendSolveRecord(key, resp)
-		wal.End()
-	})
-	if err != nil {
+	if err := runOnPool(ctx, s.pool.SubmitWait, func() (err error) {
+		resp, warm, err = s.solve(ctx, q)
+		return err
+	}); err != nil {
 		return seio.SolveResponse{}, false, err
-	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return seio.SolveResponse{}, false, ctx.Err()
-	}
-	if slvErr != nil {
-		return seio.SolveResponse{}, false, slvErr
 	}
 	s.resolveSolves.Add(1)
 	if warm {

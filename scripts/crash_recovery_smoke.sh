@@ -93,7 +93,7 @@ jq -e '.cached == true' "$WORK/solve_after.json" >/dev/null || {
   echo "solve after restart was not served from the recovered cache" >&2
   exit 1
 }
-diff <(jq 'del(.cached)' "$WORK/solve_before.json") <(jq 'del(.cached)' "$WORK/solve_after.json")
+diff <(jq 'del(.cached, .trace_id)' "$WORK/solve_before.json") <(jq 'del(.cached, .trace_id)' "$WORK/solve_after.json")
 
 echo "== sparse instance must survive recovery byte-for-byte too =="
 curl -sf -X POST -d '{"algorithm":"HOR-I","k":3}' "$BASE/instances/gamma/solve" > "$WORK/sparse_solve_after.json"
@@ -101,7 +101,7 @@ jq -e '.cached == true and .instance.rep == "sparse"' "$WORK/sparse_solve_after.
   echo "sparse solve after restart was not served from the recovered cache" >&2
   exit 1
 }
-diff <(jq 'del(.cached)' "$WORK/sparse_solve_before.json") <(jq 'del(.cached)' "$WORK/sparse_solve_after.json")
+diff <(jq 'del(.cached, .trace_id)' "$WORK/sparse_solve_before.json") <(jq 'del(.cached, .trace_id)' "$WORK/sparse_solve_after.json")
 # The downloaded document must still be the version-2 sparse encoding with
 # the pre-crash mutation applied.
 curl -sf "$BASE/instances/gamma" > "$WORK/gamma.json"
