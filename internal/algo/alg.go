@@ -51,7 +51,7 @@ func (a ALG) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		return nil, err
 	}
 	defer release()
-	return greedy(ctx, en, core.NewSchedule(inst), k, start)
+	return greedy(ctx, en, en.NewSchedule(), k, start)
 }
 
 // greedy runs ALG's select/update loop on s until it holds target
@@ -158,5 +158,5 @@ func greedy(ctx context.Context, en *score.Engine, s *core.Schedule, target int,
 			return nil, err
 		}
 	}
-	return finish(en, s, c, start), nil
+	return finish(ctx, en, s, c, start), nil
 }

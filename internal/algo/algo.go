@@ -13,7 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -43,6 +43,10 @@ type Result struct {
 	// Utility is Ω(Schedule), recomputed from scratch by the scorer so
 	// the reported value never depends on an algorithm's bookkeeping.
 	Utility float64
+	// Attendance is ω of every assignment in selection order
+	// (Schedule.Assignments), from the same evaluation pass as Utility. With
+	// user weights it is the expected weighted attendance.
+	Attendance []float64
 	Counters
 	Elapsed time.Duration
 }
@@ -193,17 +197,31 @@ type item struct {
 // tie-break, the canonical order of the interval-based assignment
 // organization (Section 3.2.2).
 func sortItems(items []item) {
-	sort.Slice(items, func(i, j int) bool {
-		return betterScoreEvent(items[i].score, items[i].e, items[j].score, items[j].e)
+	slices.SortFunc(items, func(a, b item) int {
+		return sortOrder(betterScoreEvent(a.score, a.e, b.score, b.e), betterScoreEvent(b.score, b.e, a.score, a.e))
 	})
 }
 
-// finish assembles the Result shared by all schedulers.
-func finish(en *score.Engine, s *core.Schedule, c Counters, start time.Time) *Result {
+// sortOrder turns a strict "better" relation into a slices.SortFunc result.
+func sortOrder(aBetter, bBetter bool) int {
+	switch {
+	case aBetter:
+		return -1
+	case bBetter:
+		return 1
+	}
+	return 0
+}
+
+// finish assembles the Result shared by all schedulers. Its evaluation pass
+// is booked against the trace on ctx as "evaluate".
+func finish(ctx context.Context, en *score.Engine, s *core.Schedule, c Counters, start time.Time) *Result {
+	utility, attendance := en.Evaluate(ctx, s)
 	return &Result{
-		Schedule: s,
-		Utility:  en.Utility(s),
-		Counters: c,
-		Elapsed:  time.Since(start),
+		Schedule:   s,
+		Utility:    utility,
+		Attendance: attendance,
+		Counters:   c,
+		Elapsed:    time.Since(start),
 	}
 }

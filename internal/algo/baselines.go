@@ -2,7 +2,7 @@ package algo
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -48,7 +48,7 @@ func (a TOP) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		return nil, err
 	}
 	defer release()
-	s := core.NewSchedule(inst)
+	s := en.NewSchedule()
 	var c Counters
 
 	nE, nT := inst.NumEvents(), inst.NumIntervals()
@@ -76,8 +76,8 @@ func (a TOP) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	for i, cd := range cands {
 		all = append(all, pair{item{e: int32(cd.Event), score: vals[i]}, cd.Interval})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return betterFull(all[i].score, all[i].e, all[i].t, all[j].score, all[j].e, all[j].t)
+	slices.SortFunc(all, func(a, b pair) int {
+		return sortOrder(betterFull(a.score, a.e, a.t, b.score, b.e, b.t), betterFull(b.score, b.e, b.t, a.score, a.e, a.t))
 	})
 	for _, p := range all {
 		if s.Len() >= k {
@@ -96,7 +96,7 @@ func (a TOP) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 			}
 		}
 	}
-	return finish(en, s, c, start), nil
+	return finish(ctx, en, s, c, start), nil
 }
 
 // RAND is the second baseline (Section 4.1): it assigns events to intervals
@@ -137,7 +137,7 @@ func (r RAND) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Res
 		return nil, err
 	}
 	defer release()
-	s := core.NewSchedule(inst)
+	s := en.NewSchedule()
 	var c Counters
 
 	nE, nT := inst.NumEvents(), inst.NumIntervals()
@@ -163,5 +163,5 @@ func (r RAND) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Res
 			}
 		}
 	}
-	return finish(en, s, c, start), nil
+	return finish(ctx, en, s, c, start), nil
 }

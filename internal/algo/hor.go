@@ -48,7 +48,7 @@ func (a HOR) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 		return nil, err
 	}
 	defer release()
-	s := core.NewSchedule(inst)
+	s := en.NewSchedule()
 	var c Counters
 
 	nE, nT := inst.NumEvents(), inst.NumIntervals()
@@ -94,7 +94,7 @@ func (a HOR) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 			break // no valid assignment anywhere: k is unreachable
 		}
 	}
-	return finish(en, s, c, start), nil
+	return finish(ctx, en, s, c, start), nil
 }
 
 // horSelectLayer runs the horizontal selection of one layer (Algorithm 2,

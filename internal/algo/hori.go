@@ -66,7 +66,7 @@ func (a HORI) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Res
 	st := &horiState{
 		inst:  inst,
 		en:    en,
-		s:     core.NewSchedule(inst),
+		s:     en.NewSchedule(),
 		lists: make([][]item, inst.NumIntervals()),
 		dirty: make([]bool, inst.NumIntervals()),
 		g:     g,
@@ -125,7 +125,7 @@ func (a HORI) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Res
 			}
 		}
 	}
-	return finish(st.en, st.s, st.c, start), nil
+	return finish(ctx, st.en, st.s, st.c, start), nil
 }
 
 // markStale flags every entry of interval t's list stale; called when t

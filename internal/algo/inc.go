@@ -87,7 +87,7 @@ func (a INC) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 	st := &incState{
 		inst:  inst,
 		en:    en,
-		s:     core.NewSchedule(inst),
+		s:     en.NewSchedule(),
 		lists: make([]incList, inst.NumIntervals()),
 		m:     make([]top, inst.NumIntervals()),
 		g:     g,
@@ -175,7 +175,7 @@ func (a INC) ScheduleCtx(ctx context.Context, inst *core.Instance, k int) (*Resu
 			return nil, err
 		}
 	}
-	return finish(st.en, st.s, st.c, start), nil
+	return finish(ctx, st.en, st.s, st.c, start), nil
 }
 
 // anyTop reports whether any M entry is populated.

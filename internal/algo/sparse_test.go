@@ -1,10 +1,14 @@
 package algo
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/randx"
+	"repro/internal/score"
 )
 
 // sparseDensePair builds the same random low-density instance twice — dense
@@ -105,6 +109,71 @@ func TestSparseDenseSchedulersBitIdentical(t *testing.T) {
 							sh.seed, name, workers, j, gd[j], gs[j])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRecycledSumsBitIdentical: every scheduler, dense and sparse, solves
+// bit-identically (utility, attendances, schedule, ScoreEvals, Examined) on
+// interest sums its engine recycled through Schedule.Release as on fresh
+// ones, and the recycled run allocates at least one sum per non-empty
+// interval less than a run on a warm engine with nothing to lend.
+func TestRecycledSumsBitIdentical(t *testing.T) {
+	const nU = 1531
+	dense, sparse := sparseDensePair(t, 64, 20, 5, 6, nU, 0.06)
+	for label, inst := range map[string]*core.Instance{"dense": dense, "sparse": sparse} {
+		for _, name := range Names() {
+			// run solves on en (a private engine when nil) and reports the
+			// bytes the solve allocated.
+			run := func(en *score.Engine) (*Result, uint64) {
+				s, err := New(name, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if en != nil {
+					s = WithEngine(s, en)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := s.Schedule(inst, 9)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s %s: %v", label, name, err)
+				}
+				return res, after.TotalAlloc - before.TotalAlloc
+			}
+			en, err := score.New(inst, core.ScorerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := run(nil)
+			warm, _ := run(en)           // fills the prefix memo
+			fresh, freshBytes := run(en) // nothing to lend yet
+			warm.Schedule.Release()
+			fresh.Schedule.Release()
+			got, gotBytes := run(en)
+			en.Close()
+			if math.Float64bits(got.Utility) != math.Float64bits(want.Utility) || got.Counters != want.Counters {
+				t.Fatalf("%s %s: utility %x counters %+v on recycled sums, %x %+v fresh",
+					label, name, got.Utility, got.Counters, want.Utility, want.Counters)
+			}
+			ga, wa := got.Schedule.Assignments(), want.Schedule.Assignments()
+			if !slices.Equal(ga, wa) {
+				t.Fatalf("%s %s: schedule %v on recycled sums, %v fresh", label, name, ga, wa)
+			}
+			for i := range got.Attendance {
+				if math.Float64bits(got.Attendance[i]) != math.Float64bits(want.Attendance[i]) {
+					t.Fatalf("%s %s: ω[%d] %x on recycled sums, %x fresh", label, name, i, got.Attendance[i], want.Attendance[i])
+				}
+			}
+			intervals := map[int]bool{}
+			for _, a := range ga {
+				intervals[a.Interval] = true
+			}
+			if sums := uint64(len(intervals) * nU * 8); gotBytes+sums > freshBytes {
+				t.Errorf("%s %s: recycled run allocated %d B against %d B with nothing to lend; %d B of sums should be saved",
+					label, name, gotBytes, freshBytes, sums)
 			}
 		}
 	}

@@ -89,8 +89,8 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "utility Ω = %.4f   score computations = %d (×%d users = %d)   assignments examined = %d\n",
 		res.Utility, res.ScoreEvals, inst.NumUsers(), res.Computations(inst.NumUsers()), res.Examined)
 	if !*quiet {
-		sc := core.NewScorer(inst)
-		for _, a := range res.Schedule.Assignments() {
+		_, attendance := core.NewScorer(inst).Evaluate(res.Schedule)
+		for i, a := range res.Schedule.Assignments() {
 			name := inst.Events[a.Event].Name
 			if name == "" {
 				name = fmt.Sprintf("e%d", a.Event)
@@ -99,7 +99,7 @@ func Sesrun(stdin io.Reader, args []string, stdout, stderr io.Writer) int {
 			if at == "" {
 				at = fmt.Sprintf("t%d", a.Interval)
 			}
-			fmt.Fprintf(stdout, "  %-24s @ %-12s ω = %8.3f\n", name, at, sc.EventAttendance(res.Schedule, a.Event))
+			fmt.Fprintf(stdout, "  %-24s @ %-12s ω = %8.3f\n", name, at, attendance[i])
 		}
 	}
 	if *simulate > 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Assignment α_e^t schedules candidate event Event at interval Interval.
@@ -22,6 +23,15 @@ type Assignment struct {
 // per-user sum of interests of the events assigned there (Σ_{p∈E_t(S)} µ_{u,p}).
 // That running sum is the denominator state that lets Eq. 4 scores be
 // computed in O(|U|) — the cost model the paper's computation counts assume.
+//
+// Buffer ownership: each non-empty interval holds one |U|-long float64 sum.
+// A schedule from NewSchedule allocates its sums and leaves them to the GC. A
+// schedule from NewScheduleFrom draws them from a SumFreeList (allocating
+// when the list is empty), and Release hands every sum back to that list,
+// zeroed; one that is never released keeps GC-owned sums, exactly as if
+// there were no list. After Release the schedule is dead: Assign,
+// UnassignLast, Clone, Release and every evaluation of it (Score, Evaluate,
+// Utility, EventAttendance, Rho) panic.
 type Schedule struct {
 	inst *Instance
 
@@ -43,6 +53,51 @@ type Schedule struct {
 	// order records assignments in selection order, which the INC ≡ ALG
 	// and HOR-I ≡ HOR equivalence tests compare.
 	order []Assignment
+	// sums lends the interval sums and takes them back on Release; nil for
+	// GC-owned sums.
+	sums *SumFreeList
+	// released is set by Release; the sums are gone.
+	released bool
+}
+
+// SumFreeList lends |U|-long interest sums to the schedules built by
+// NewScheduleFrom and takes them back, all +0.0, on Release, so a recycled
+// sum is indistinguishable from a fresh one. Its owner decides how long the
+// buffers live (score.Engine keeps one per instance lineage); the GC never
+// empties it. Every sum on one list must have the same |U|. Safe for
+// concurrent use; the zero value is an empty list.
+type SumFreeList struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// get returns an all-zero sum of numUsers entries, recycled when the list
+// has one. A nil list allocates.
+func (l *SumFreeList) get(numUsers int) []float64 {
+	if l != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if n := len(l.free); n > 0 {
+			sum := l.free[n-1]
+			l.free = l.free[:n-1]
+			return sum
+		}
+	}
+	return make([]float64, numUsers)
+}
+
+// put hands back a sum the caller has zeroed.
+func (l *SumFreeList) put(sum []float64) {
+	l.mu.Lock()
+	l.free = append(l.free, sum)
+	l.mu.Unlock()
+}
+
+// live panics on a released schedule.
+func (s *Schedule) live() {
+	if s.released {
+		panic("core: use of a released Schedule")
+	}
 }
 
 // NewSchedule returns an empty schedule over the instance.
@@ -60,6 +115,14 @@ func NewSchedule(inst *Instance) *Schedule {
 	for i := range s.assignedTo {
 		s.assignedTo[i] = -1
 	}
+	return s
+}
+
+// NewScheduleFrom is NewSchedule with the interval sums lent by sums, which
+// Release returns them to. Every sum on sums must have inst's |U|.
+func NewScheduleFrom(inst *Instance, sums *SumFreeList) *Schedule {
+	s := NewSchedule(inst)
+	s.sums = sums
 	return s
 }
 
@@ -118,6 +181,7 @@ func (s *Schedule) Valid(e, t int) bool {
 // Assign adds α_e^t to the schedule. It returns an error if the assignment
 // is not valid.
 func (s *Schedule) Assign(e, t int) error {
+	s.live()
 	if e < 0 || e >= s.inst.NumEvents() {
 		return fmt.Errorf("core: event index %d out of range", e)
 	}
@@ -140,7 +204,7 @@ func (s *Schedule) Assign(e, t int) error {
 	s.locations[t][ev.Location] = true
 	sum := s.assignedSum[t]
 	if sum == nil {
-		sum = make([]float64, s.inst.NumUsers())
+		sum = s.sums.get(s.inst.NumUsers())
 		s.assignedSum[t] = sum
 	}
 	s.inst.addInterestColInto(e, sum)
@@ -149,8 +213,45 @@ func (s *Schedule) Assign(e, t int) error {
 }
 
 // assignedInterestSum returns the per-user Σ_{p∈E_t(S)} µ(u, p) vector for
-// interval t, or nil if t is empty (treated as all zeros).
-func (s *Schedule) assignedInterestSum(t int) []float64 { return s.assignedSum[t] }
+// interval t, or nil if t is empty (treated as all zeros). Every evaluation
+// reads the sums through here, which is what makes a released schedule panic
+// on Score and friends.
+func (s *Schedule) assignedInterestSum(t int) []float64 {
+	s.live()
+	return s.assignedSum[t]
+}
+
+// Release ends the schedule's life (see the Schedule doc) and hands its
+// interest sums back to the SumFreeList that lent them, if any, for the next
+// schedule it lends to. It zeroes only what the assigned columns touched on a
+// sparse instance, and clears the whole sum on a dense one or where
+// UnassignLast may have left float dust. The instance's interest must not
+// have been written since the schedule's first Assign, as for a snapshot
+// nobody writes: otherwise a touched entry could be missed and a later
+// schedule would start from a dirty sum.
+func (s *Schedule) Release() {
+	s.live()
+	s.released = true
+	for t, sum := range s.assignedSum {
+		if sum == nil {
+			continue
+		}
+		s.assignedSum[t] = nil
+		if s.sums == nil {
+			continue
+		}
+		if s.inst.sparse == nil || s.undone[t] {
+			clear(sum)
+		} else {
+			for _, e := range s.byInterval[t] {
+				for _, u := range s.inst.sparse[e].Users {
+					sum[u] = 0
+				}
+			}
+		}
+		s.sums.put(sum)
+	}
+}
 
 // UnassignLast removes the most recently added assignment, restoring the
 // previous schedule state. Only stack-discipline undo is supported: it keeps
@@ -162,6 +263,7 @@ func (s *Schedule) assignedInterestSum(t int) []float64 { return s.assignedSum[t
 // float dust of one ulp per undo; exact searches tolerate this, and
 // algorithms never undo.
 func (s *Schedule) UnassignLast() error {
+	s.live()
 	if len(s.order) == 0 {
 		return errors.New("core: UnassignLast on an empty schedule")
 	}
@@ -190,6 +292,7 @@ func (s *Schedule) UnassignLast() error {
 // analyses (e.g. the Monte-Carlo simulator's ablation runs); algorithms build
 // schedules incrementally and never clone on their hot paths.
 func (s *Schedule) Clone() *Schedule {
+	s.live()
 	c := NewSchedule(s.inst)
 	for _, a := range s.order {
 		if err := c.Assign(a.Event, a.Interval); err != nil {

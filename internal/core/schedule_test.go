@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,5 +322,98 @@ func TestCompetingAt(t *testing.T) {
 	}
 	if got := inst.CompetingAt(1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("CompetingAt(t2) = %v", got)
+	}
+}
+
+// TestReleasedSchedulePanics: after Release every mutation and evaluation of
+// the schedule panics instead of reading sums a later schedule now owns.
+func TestReleasedSchedulePanics(t *testing.T) {
+	inst := RunningExample()
+	sc := NewScorer(inst)
+	s := NewSchedule(inst)
+	mustAssign(t, s, 0, 0)
+	s.Release()
+	for name, use := range map[string]func(){
+		"Assign":          func() { _ = s.Assign(1, 1) },
+		"UnassignLast":    func() { _ = s.UnassignLast() },
+		"Clone":           func() { s.Clone() },
+		"Release":         func() { s.Release() },
+		"Score":           func() { sc.Score(s, 1, 0) },
+		"Evaluate":        func() { sc.Evaluate(s) },
+		"Utility":         func() { sc.Utility(s) },
+		"EventAttendance": func() { sc.EventAttendance(s, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released schedule did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestReleasedSumsComeBackZero: schedules that dirtied their sums in every
+// way — dense and sparse columns, and UnassignLast's float dust — are
+// released to one SumFreeList, and a schedule built next from that list over
+// another instance with the same |U| (which draws the recycled sums) holds
+// exactly the freshly accumulated sums of its own columns.
+func TestReleasedSumsComeBackZero(t *testing.T) {
+	const nE, nT, nU = 12, 3, 2053
+	var sums SumFreeList
+	for round := 0; round < 3; round++ {
+		for _, density := range []float64{0.05, 1} {
+			dense, sparse := buildPair(t, uint64(40+round), nE, nT, 2, nU, density)
+			for _, inst := range []*Instance{dense, sparse} {
+				s := NewScheduleFrom(inst, &sums)
+				for e := 0; e < nE; e++ {
+					if tt := e % nT; s.Valid(e, tt) {
+						mustAssign(t, s, e, tt)
+					}
+				}
+				for i := 0; i < round && s.Len() > 0; i++ {
+					if err := s.UnassignLast(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Release()
+			}
+		}
+		_, next := buildPair(t, uint64(90+round), nE, nT, 0, nU, 0.05)
+		if len(sums.free) == 0 {
+			t.Fatal("released schedules handed no sums back")
+		}
+		s := NewScheduleFrom(next, &sums)
+		for e := nE - 1; e >= 0; e-- {
+			if tt := e % nT; s.Valid(e, tt) {
+				mustAssign(t, s, e, tt)
+			}
+		}
+		for tt := 0; tt < nT; tt++ {
+			got := s.assignedInterestSum(tt)
+			if got == nil {
+				continue
+			}
+			want := make([]float64, nU)
+			for _, e := range s.EventsAt(tt) {
+				next.addInterestColInto(e, want)
+			}
+			for u := range want {
+				if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+					t.Fatalf("round %d: recycled sum of t%d holds %v for user %d, want %v", round, tt, got[u], u, want[u])
+				}
+			}
+		}
+		s.Release()
+	}
+	// A sum UnassignLast left dusty comes back zero as well.
+	var dustSums SumFreeList
+	inst, dusty := dustSchedule(t, RepSparse, &dustSums)
+	dusty.Release()
+	s := NewScheduleFrom(inst, &dustSums)
+	mustAssign(t, s, 0, 0)
+	if got := s.assignedInterestSum(0); got[1] != 0 || got[2] != 0 {
+		t.Fatalf("recycled sum after a dusty release holds %v, want only user 0's interest", got)
 	}
 }

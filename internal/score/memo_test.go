@@ -88,7 +88,7 @@ func memoWalk(t testing.TB, en *Engine, moves []core.Assignment, singlesFirst bo
 		}
 		score()
 	}
-	got = append(got, en.Utility(s))
+	got = append(got, en.Scorer().Utility(s))
 	return got
 }
 

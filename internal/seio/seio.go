@@ -279,25 +279,24 @@ type AssignmentMsg struct {
 // NewScheduleMsg evaluates the schedule and builds its wire message: total
 // utility plus per-assignment names and expected attendance.
 func NewScheduleMsg(inst *core.Instance, s *core.Schedule) ScheduleMsg {
-	sc := core.NewScorer(inst)
-	return ScheduleMsgFrom(sc, s, sc.Utility(s))
+	utility, attendance := core.NewScorer(inst).Evaluate(s)
+	return ScheduleMsgFrom(s, utility, attendance)
 }
 
-// ScheduleMsgFrom builds the wire message of a schedule from an existing
-// plain scorer (no ScorerOptions; see core.Scorer.Plain) and the schedule's
-// already computed utility, which must be sc.Utility(s). It evaluates only
-// the per-assignment expected attendance, so a caller that holds the scorer
-// and the utility of a solve pays no precompute and no second utility pass.
-func ScheduleMsgFrom(sc *core.Scorer, s *core.Schedule, utility float64) ScheduleMsg {
-	inst := sc.Instance()
+// ScheduleMsgFrom formats the wire message of an evaluated schedule: utility
+// and attendance are a plain scorer's Evaluate(s) (no ScorerOptions; see
+// core.Scorer.Plain), attendance in selection order. A caller that holds the
+// evaluation of a solve pays no scorer precompute and no second pass.
+func ScheduleMsgFrom(s *core.Schedule, utility float64, attendance []float64) ScheduleMsg {
+	inst := s.Instance()
 	sj := ScheduleMsg{Version: FormatVersion, Utility: utility}
-	for _, a := range s.Assignments() {
+	for i, a := range s.Assignments() {
 		sj.Assignments = append(sj.Assignments, AssignmentMsg{
 			Event:     a.Event,
 			EventName: inst.Events[a.Event].Name,
 			Interval:  a.Interval,
 			AtName:    inst.Intervals[a.Interval].Name,
-			Expected:  sc.EventAttendance(s, a.Event),
+			Expected:  attendance[i],
 		})
 	}
 	return sj

@@ -514,3 +514,62 @@ func TestScheduleMsgAllocations(t *testing.T) {
 		t.Errorf("cold NewScheduleMsg allocated only %d B; the guard cannot tell the two apart", coldBytes)
 	}
 }
+
+// TestWarmPushAllocations: a warm sparse HOR-I subscribe push through the one
+// solve path allocates less than one |U|·|T| float64 interest-sum set. Each
+// push releases its schedule once the message is built, and the warm engine
+// inherits its predecessor's free list, so the next push's schedule draws
+// its sums from there instead of allocating them, while k = |T| gives every
+// interval a sum. Two forced GCs between pushes check that nothing the GC
+// may empty holds the sums.
+func TestWarmPushAllocations(t *testing.T) {
+	const users = 20000
+	cfg := dataset.DefaultConfig(8, users, dataset.Uniform, 41)
+	cfg.Density = 0.05
+	cfg.Rep = core.RepSparse
+	inst, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := seio.WriteInstance(&doc, inst); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 4})
+	c := ts.Client()
+	do(t, c, "PUT", ts.URL+"/instances/w", doc.Bytes(), http.StatusCreated, nil)
+	k := inst.NumIntervals()
+	push := func() (uint64, bool) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, warm, err := s.resolveCurrent(context.Background(), "w", "HOR-I", k, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Schedule.Assignments) != k {
+			t.Fatalf("push scheduled %d events, want %d", len(resp.Schedule.Assignments), k)
+		}
+		return after.TotalAlloc - before.TotalAlloc, warm
+	}
+	mutate := func(i int) {
+		do(t, c, "PATCH", ts.URL+"/instances/w", jsonBody(t, seio.MutateRequest{
+			Interest: []seio.CellUpdate{{User: 97 * i, Index: i % inst.NumEvents(), Value: 0.6}},
+		}), http.StatusOK, nil)
+	}
+	push() // cold: builds the engine
+	mutate(1)
+	push() // warm; its sums may be fresh
+	mutate(2)
+	runtime.GC()
+	runtime.GC()
+	got, warm := push()
+	if !warm {
+		t.Fatal("push after a PATCH was not warm")
+	}
+	limit := uint64(users * k * 8)
+	t.Logf("warm push allocated %d B; one sum set is %d B", got, limit)
+	if got >= limit {
+		t.Errorf("warm push allocated %d B, want < %d B (|U|×|T|×8)", got, limit)
+	}
+}

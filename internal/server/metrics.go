@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -304,47 +305,61 @@ func (s *Server) walStats() persist.Stats {
 // Metrics exposes the registry, primarily for the catalogue guard test.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// handleMetrics renders the registry as Prometheus text exposition.
+// handleMetrics renders the registry as Prometheus text exposition. It
+// renders before writing because the first write books this request in the
+// request counter (statusWriter): a scrape never counts itself, whichever
+// family the render reaches first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var doc bytes.Buffer
+	_ = s.reg.WritePrometheus(&doc) // a bytes.Buffer never fails
 	w.Header().Set("Content-Type", metrics.ContentType)
-	_ = s.reg.WritePrometheus(w) // client gone; nothing to recover
+	_, _ = w.Write(doc.Bytes()) // client gone; nothing to recover
 }
 
-// statusWriter captures the status code and body size a handler produced.
+// statusWriter captures the status code and body size a handler produced,
+// and books the request through begin once, at the first WriteHeader, Write
+// or Flush: before the response's first byte can leave, so a client that
+// scrapes after reading its response always finds its request counted.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	bytes int64
+	begin func(code int)
+}
+
+// start records the response's status and books it, once.
+func (w *statusWriter) start(code int) {
+	if w.code == 0 {
+		w.code = code
+		w.begin(code)
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
+	w.start(code)
 	w.ResponseWriter.WriteHeader(code)
 }
 
 // Flush forwards to the underlying writer so streaming handlers (SSE
 // subscribe) keep working behind the instrumentation middleware.
 func (w *statusWriter) Flush() {
+	w.start(http.StatusOK)
 	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
 	}
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
+	w.start(http.StatusOK)
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += int64(n)
 	return n, err
 }
 
 // instrument wraps one route's handler with the observability middleware:
-// in-flight tracking, traceparent propagation, the request's span tree, and at
-// exit the labeled request counter, the latency histogram and one structured
-// access-log line keyed by the trace ID.
+// in-flight tracking, traceparent propagation, the request's span tree, the
+// labeled request counter (booked as the response starts), and at exit the
+// latency histogram and one structured access-log line keyed by the trace ID.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -361,17 +376,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		w.Header().Set("traceparent", tr.Traceparent())
 		r = r.WithContext(span.NewContext(r.Context(), tr))
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, begin: func(code int) {
+			s.httpRequests.With(route, strconv.Itoa(code)).Inc()
+		}}
 		h(sw, r)
 
+		// A handler that wrote nothing (e.g. client disconnect mid-solve)
+		// gets the net/http default, an empty 200.
+		sw.start(http.StatusOK)
 		code := sw.code
-		if code == 0 {
-			// Handler wrote nothing (e.g. client disconnect mid-solve); the
-			// net/http default is an empty 200.
-			code = http.StatusOK
-		}
 		elapsed := time.Since(start)
-		s.httpRequests.With(route, strconv.Itoa(code)).Inc()
 		if streamingRoutes[route] {
 			s.httpStreamDuration.With(route).Observe(elapsed.Seconds())
 		} else {

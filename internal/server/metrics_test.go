@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -223,31 +222,19 @@ func TestStatsIsMetricsView(t *testing.T) {
 		jsonBody(t, seio.JobRequest{Algorithms: []string{"ALG", "HOR"}, Ks: []int{2, 3}}), http.StatusAccepted, &job)
 	pollJob(t, c, ts.URL, job.ID, 30*time.Second)
 
-	// Quiet: nothing queued or running, and the counters held still for a
-	// while (a request's counter bumps after its response is written).
+	// Quiet: nothing queued or running. The pool books a job's completion
+	// before it leaves active, and a request is counted before its response
+	// starts, so no counter can move after this.
+	for deadline := time.Now().Add(10 * time.Second); s.pool.active.Load() != 0 || len(s.pool.jobs) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("server never went quiet")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	compared := func(key string) bool {
 		name, _, _ := strings.Cut(key, "{")
 		return strings.HasPrefix(name, "sesd_") && strings.HasSuffix(name, "_total") &&
 			!strings.HasPrefix(name, "sesd_go_") && !strings.Contains(key, `route="stats"`)
-	}
-	counters := func() map[string]float64 {
-		out := map[string]float64{}
-		for k, v := range registryValues(t, s) {
-			if compared(k) {
-				out[k] = v
-			}
-		}
-		return out
-	}
-	prev := counters()
-	for deadline := time.Now().Add(10 * time.Second); ; prev = counters() {
-		time.Sleep(20 * time.Millisecond)
-		if s.pool.active.Load() == 0 && len(s.pool.jobs) == 0 && reflect.DeepEqual(prev, counters()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never went quiet")
-		}
 	}
 
 	var stats map[string]float64
@@ -292,6 +279,43 @@ func TestStatsIsMetricsView(t *testing.T) {
 	}
 	if checked < 40 {
 		t.Errorf("compared only %d sesd_*_total series", checked)
+	}
+}
+
+// TestRequestCountedBeforeResponse: the request counter books a request as
+// its response starts — at the first Write, WriteHeader or Flush — so a
+// client that scrapes after reading its response always finds it counted. A
+// handler that writes nothing is counted as the empty 200 it gets.
+func TestRequestCountedBeforeResponse(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, Queue: 1})
+	count := func(route, code string) float64 {
+		return registryValues(t, s)[`sesd_http_requests_total{route="`+route+`",code="`+code+`"}`]
+	}
+	for _, tc := range []struct {
+		route, code string
+		respond     func(w http.ResponseWriter)
+	}{
+		{"probe_write", "200", func(w http.ResponseWriter) { _, _ = w.Write([]byte("ok")) }},
+		{"probe_header", "404", func(w http.ResponseWriter) { w.WriteHeader(http.StatusNotFound) }},
+		{"probe_flush", "200", func(w http.ResponseWriter) { w.(http.Flusher).Flush() }},
+		{"probe_silent", "200", func(http.ResponseWriter) {}},
+	} {
+		var during float64
+		h := s.instrument(tc.route, func(w http.ResponseWriter, r *http.Request) {
+			tc.respond(w)
+			during = count(tc.route, tc.code)
+		})
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+		want := 1.0
+		if tc.route == "probe_silent" {
+			want = 0 // nothing left before the handler returned
+		}
+		if during != want {
+			t.Errorf("%s: counter read %v right after the response started, want %v", tc.route, during, want)
+		}
+		if got := count(tc.route, tc.code); got != 1 {
+			t.Errorf("%s: counter %v after the request, want 1", tc.route, got)
+		}
 	}
 }
 

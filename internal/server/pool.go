@@ -86,8 +86,10 @@ func (p *Pool) work() {
 		p.queueWait.ObserveSince(j.enqueued)
 		p.active.Add(1)
 		p.runJob(j)
-		p.active.Add(-1)
+		// Completed first: an idle pool (active 0, queue empty) has booked
+		// every job it ran.
 		p.completed.Add(1)
+		p.active.Add(-1)
 	}
 }
 

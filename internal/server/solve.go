@@ -62,12 +62,13 @@ func (s *Server) cached(q solveRun) (seio.SolveResponse, bool) {
 // solve is sesd's one solve path: HTTP solve and extend, subscribe pushes and
 // sweep cells all run it on a pool worker, after their own admission and,
 // for a cacheable run, their own cache check. It books against the trace on
-// ctx, in order: engine_acquire (annotated engine=cold|warm), score (booked
-// by the engine), select, encode and, for a cacheable run, wal_append (the
-// result-cache insert plus the solve's WAL record). The response carries no
-// trace ID: a cached or replayed response must not present another run's
-// identity as its own. warm reports whether the engine came from the engine
-// cache or a warm rebuild.
+// ctx, in order: engine_acquire (annotated engine=cold|warm), score and
+// evaluate (booked by the engine), select, encode, release (the schedule's
+// interest sums back to the engine) and, for a cacheable run, wal_append
+// (the result-cache insert plus the solve's WAL record). The
+// response carries no trace ID: a cached or replayed response must not
+// present another run's identity as its own. warm reports whether the engine
+// came from the engine cache or a warm rebuild.
 //
 // A panicking solver costs its run an errSolverPanicked error, not the
 // daemon its life (and with it the memory-only store).
@@ -111,6 +112,11 @@ func (s *Server) solve(ctx context.Context, q solveRun) (resp seio.SolveResponse
 	enc := tr.Start("encode")
 	msg := scheduleMsg(en, res)
 	enc.End()
+	// The message holds everything the response needs; the schedule's
+	// interest sums go back to the engine for its lineage's next solve.
+	rel := tr.Start("release")
+	res.Schedule.Release()
+	rel.End()
 	resp = seio.SolveResponse{
 		Instance:   q.info,
 		Algorithm:  q.key.algorithm,
@@ -132,12 +138,12 @@ func (s *Server) solve(ctx context.Context, q solveRun) (resp seio.SolveResponse
 }
 
 // bookSelect books solve's "select" aggregate against the trace: the
-// remainder of the solver's elapsed time after batched frontier scoring
-// (candidate enumeration, argmax selection, and any scoring done outside
-// batched calls). Clamped at zero because parallel scoring can book more
-// stage time than wall time.
+// remainder of the solver's elapsed time after batched frontier scoring and
+// the final evaluation pass (candidate enumeration, argmax selection, and any
+// scoring done outside batched calls). Clamped at zero because parallel
+// scoring can book more stage time than wall time.
 func bookSelect(tr *span.Trace, solveElapsed time.Duration) {
-	selectD := solveElapsed - tr.Get("score")
+	selectD := solveElapsed - tr.Get("score") - tr.Get("evaluate")
 	if selectD < 0 {
 		selectD = 0
 	}
@@ -146,18 +152,17 @@ func bookSelect(tr *span.Trace, solveElapsed time.Duration) {
 
 // scheduleMsg builds a solved schedule's wire message from the engine that
 // produced it; solve calls it for every route, so it is sesd's one response
-// encoding. Messages report the plain Eq. 2/Eq. 3 values, so it evaluates on
-// the engine scorer's plain view and reuses the solve's utility
-// (algo.Result.Utility is en.Utility) whenever that view is the scorer
-// itself; only a weighted or costed engine pays a plain Utility pass.
+// encoding. Messages report the plain Eq. 2/Eq. 3 values, so it formats the
+// solve's own evaluation (algo.Result.Utility and Attendance) whenever the
+// engine's scorer is its plain view; only a weighted or costed engine pays
+// one plain Evaluate pass.
 func scheduleMsg(en *score.Engine, res *algo.Result) seio.ScheduleMsg {
 	sc := en.Scorer()
-	plain := sc.Plain()
-	utility := res.Utility
-	if plain != sc {
-		utility = plain.Utility(res.Schedule)
+	if plain := sc.Plain(); plain != sc {
+		utility, attendance := plain.Evaluate(res.Schedule)
+		return seio.ScheduleMsgFrom(res.Schedule, utility, attendance)
 	}
-	return seio.ScheduleMsgFrom(plain, res.Schedule, utility)
+	return seio.ScheduleMsgFrom(res.Schedule, res.Utility, res.Attendance)
 }
 
 // runOnPool hands fn to the pool through submit (Pool.Submit, or

@@ -89,8 +89,8 @@ func names(spans []span.SpanData) []string {
 }
 
 // pushStages are the direct children of a subscribe push's resolve trace, in
-// order; score and select are aggregates, the rest timed spans.
-var pushStages = []string{"queue", "engine_acquire", "score", "select", "encode", "wal_append"}
+// order; score, evaluate and select are aggregates, the rest timed spans.
+var pushStages = []string{"queue", "engine_acquire", "score", "evaluate", "select", "encode", "release", "wal_append"}
 
 // TestResolveTraceStages: the cold first subscribe push and the warm push
 // after a PATCH each store a resolve trace whose direct children are the push
@@ -134,7 +134,7 @@ func TestResolveTraceStages(t *testing.T) {
 		end, covered := 0.0, 0.0
 		for _, k := range kids {
 			covered += k.DurationMS
-			if aggregate := k.Name == "score" || k.Name == "select"; aggregate != (k.Count > 0) {
+			if aggregate := k.Name == "score" || k.Name == "evaluate" || k.Name == "select"; aggregate != (k.Count > 0) {
 				t.Errorf("%s: count %d, aggregate=%v", k.Name, k.Count, aggregate)
 			}
 			if k.Count > 0 {

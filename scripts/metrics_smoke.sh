@@ -103,9 +103,9 @@ jq -e --arg tid "$TID" '.trace_id == $tid' "$WORK/timed.json" >/dev/null || {
   exit 1
 }
 curl -sf "$BASE/debug/traces/$TID" > "$WORK/timed.trace.json"
-jq -e '[.root.children[].name | select(. != "queue")] == ["engine_acquire","score","select","encode","wal_append"]' \
+jq -e '[.root.children[].name | select(. != "queue")] == ["engine_acquire","score","evaluate","select","encode","release","wal_append"]' \
   "$WORK/timed.trace.json" >/dev/null || {
-  echo "solve trace missing the five-stage breakdown:" >&2
+  echo "solve trace missing the seven-stage breakdown:" >&2
   jq '[.root.children[].name]' "$WORK/timed.trace.json" >&2
   exit 1
 }
